@@ -29,14 +29,12 @@ from .errors import (
     ParameterError,
 )
 from .means import (
-    MeanFamily,
-    MeanKind,
+    MEANS,
     PositivePair,
     arithmetic,
     centroidal,
     ch_difference,
     contraharmonic,
-    evaluate,
     first_seiffert,
     format_float,
     generalized_logarithmic,
@@ -81,9 +79,8 @@ __all__ = [
     "IdentityResiduals",
     "InequalityRecord",
     "LemmaSeries",
+    "MEANS",
     "Margins",
-    "MeanFamily",
-    "MeanKind",
     "NotApplicableError",
     "ParameterError",
     "PositivePair",
@@ -104,7 +101,6 @@ __all__ = [
     "constant",
     "contraharmonic",
     "difference_sign_check",
-    "evaluate",
     "expr_text",
     "expr_value",
     "first_seiffert",

@@ -1,8 +1,11 @@
 """Machine-checkable catalog of the sharp inequalities between the means.
 
-Every entry couples a human-readable statement with a vectorised margin
-function: positive margins mean the inequality holds on that pair, and the
-attached :class:`~meanslab.constants.SharpConstant` objects are the claimed
+Every record is declared in ``SPECS`` as one of a few forms (a convex
+combination, a bound on a difference over CH, a chain, ...) over the mean
+symbols of :data:`meanslab.means.MEANS`.  :func:`build_record` binds the
+kernels and derives the statement and the vectorised margin function:
+positive margins mean the inequality holds on that pair, and the attached
+:class:`~meanslab.constants.SharpConstant` objects are the claimed
 best-possible weights or bounds.  Three things can be done with a record:
 
 * :func:`verify` — evaluate the margins on one pair;
@@ -21,27 +24,14 @@ a pass or a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import (
-    PositivePair,
-    arithmetic,
-    centroidal,
-    ch_difference,
-    contraharmonic,
-    first_seiffert,
-    generalized_logarithmic,
-    geometric,
-    harmonic,
-    neuman_sandor,
-    root_square,
-    second_seiffert,
-)
+from .means import MEANS, PositivePair, ch_difference, format_float, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -49,7 +39,10 @@ __all__ = [
     "Margins",
     "ProbeResult",
     "ProbeSpec",
+    "RecordSpec",
+    "SPECS",
     "VerificationReport",
+    "build_record",
     "catalog",
     "record",
     "verify",
@@ -60,9 +53,6 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _NOISE_FACTOR = 100.0
 _PROBE_STEPS = 64
-
-_log_mean = partial(generalized_logarithmic, -1.0)
-_identric = partial(generalized_logarithmic, 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,11 +85,10 @@ class ProbeSpec:
 class InequalityRecord:
     """One inequality with its margins and sharpness metadata.
 
-    ``homogeneity_degree`` is how margins respond to (a, b) → (λa, λb):
-    degree 1 for mean-valued margins, 0 for ratio forms, 2 for the product
-    form, ``None`` when the statement is not scale-invariant at all.
     ``kind`` separates the package's core sharp results from the previously
     known bounds and classical orderings carried along for cross-checking.
+    The form fixes the homogeneity degree, the sampler and the domain; see
+    the properties below.
     """
 
     id: str
@@ -108,12 +97,29 @@ class InequalityRecord:
     kind: str
     lower: SharpConstant | None
     upper: SharpConstant | None
-    strict: bool = True
-    domain_note: str | None = None
-    homogeneity_degree: int | None = 1
-    sampler: str = "log-ratio"
     probes: tuple[ProbeSpec, ...] = ()
     margin_fn: Callable = field(default=None, repr=False, compare=False)
+
+    # Every catalog inequality is strict for distinct arguments.
+    strict = True
+
+    @property
+    def homogeneity_degree(self) -> int | None:
+        """How margins respond to (a, b) → (λa, λb): degree 1 for
+        mean-valued margins, 0 for ratio forms, 2 for the product form,
+        ``None`` when the statement is not scale-invariant at all."""
+        return _FORMS[self.form].degree
+
+    @property
+    def sampler(self) -> str:
+        """How :func:`verify_random` draws pairs: ``log-ratio`` everywhere,
+        ``unit-interval`` inside a restricted domain."""
+        return "unit-interval" if self.domain_note else "log-ratio"
+
+    @property
+    def domain_note(self) -> str | None:
+        """The domain restriction of the statement, if it has one."""
+        return _FORMS[self.form].domain
 
     def margins(self, a, b, *, lower_c: float | None = None, upper_c: float | None = None) -> MarginSample:
         """Margins on (a, b) with optional overrides for the constants.
@@ -126,316 +132,222 @@ class InequalityRecord:
 
 
 # --------------------------------------------------------------------------
-# margin functions
+# forms
+#
+# A form takes the record's kernels, in the order its spec lists the means,
+# a pair (or arrays of pairs) and the two bounds in force (None where the
+# record has no bound on that side), and returns the signed margins.
 
 
-def _combo_fn(mix, base, inner, lo_default, up_default):
-    # w*mix + (1-w)*base compared against inner, on both sides.
-    def fn(a, b, lo_c, up_c):
-        x = mix(a, b)
-        y = base(a, b)
-        z = inner(a, b)
-        scale = np.abs(x) + np.abs(y) + np.abs(z)
-        w_lo = lo_default if lo_c is None else lo_c
-        w_up = up_default if up_c is None else up_c
-        lower = z - (w_lo * x + (1.0 - w_lo) * y)
-        upper = (w_up * x + (1.0 - w_up) * y) - z
-        return MarginSample(lower, upper, scale, scale)
-
-    return fn
+def _combo(kernels, a, b, w_lo, w_up):
+    # w*X + (1-w)*Y compared against Z, on both sides.
+    mix, base, inner = (k(a, b) for k in kernels)
+    scale = np.abs(mix) + np.abs(base) + np.abs(inner)
+    lower = inner - (w_lo * mix + (1.0 - w_lo) * base)
+    upper = (w_up * mix + (1.0 - w_up) * base) - inner
+    return MarginSample(lower, upper, scale, scale)
 
 
-def _ratio_mc_fn(lo_default, up_default):
-    # (M - C)/CH against two constants; scale-free value, but the float
-    # ratio carries cancellation noise of order (M + C)/CH ulp.
-    def fn(a, b, lo_c, up_c):
-        m = neuman_sandor(a, b)
-        c = contraharmonic(a, b)
-        ch = ch_difference(a, b)
-        value = (m - c) / ch
-        scale = (m + c) / ch + 1.0
-        lo = lo_default if lo_c is None else lo_c
-        up = up_default if up_c is None else up_c
-        return MarginSample(value - lo, up - value, scale, scale)
-
-    return fn
-
-
-def _ratio_one_sided_fn(lo_default):
-    def fn(a, b, lo_c, up_c):
-        m = neuman_sandor(a, b)
-        ch = ch_difference(a, b)
-        value = m / ch
+def _ratio(kernels, a, b, lo, up):
+    # (X - Y)/CH, or X/CH, against two constants; scale-free value, but the
+    # float ratio carries cancellation noise of order (X + Y)/CH ulp.
+    x = kernels[0](a, b)
+    ch = ch_difference(a, b)
+    if len(kernels) == 1:
+        value = x / ch
         scale = value + 1.0
-        lo = lo_default if lo_c is None else lo_c
+    else:
+        y = kernels[1](a, b)
+        value = (x - y) / ch
+        scale = (x + y) / ch + 1.0
+    if up is None:
         return MarginSample(value - lo, None, scale, None)
-
-    return fn
-
-
-def _additive_fn(minuend, lo_default, up_default):
-    # lo*CH < minuend(a,b) - M < up*CH
-    def fn(a, b, lo_c, up_c):
-        big = minuend(a, b)
-        m = neuman_sandor(a, b)
-        ch = ch_difference(a, b)
-        gap = big - m
-        scale = np.abs(big) + np.abs(m)
-        lo = lo_default if lo_c is None else lo_c
-        up = up_default if up_c is None else up_c
-        return MarginSample(gap - lo * ch, up * ch - gap, scale, scale)
-
-    return fn
+    return MarginSample(value - lo, up - value, scale, scale)
 
 
-_CHAIN_MEANS = (
-    geometric,
-    _log_mean,
-    first_seiffert,
-    arithmetic,
-    neuman_sandor,
-    second_seiffert,
-    root_square,
-)
+def _gap(kernels, a, b, lo, up):
+    # lo*CH < X - Y < up*CH
+    big, small = (k(a, b) for k in kernels)
+    ch = ch_difference(a, b)
+    gap = big - small
+    scale = np.abs(big) + np.abs(small)
+    return MarginSample(gap - lo * ch, up * ch - gap, scale, scale)
 
 
-def _chain_fn(a, b, lo_c, up_c):
-    values = np.stack([np.asarray(f(a, b), dtype=np.float64) for f in _CHAIN_MEANS])
+def _ordered(values):
+    # Each value below the next: the smallest consecutive gap is the margin.
+    values = np.stack([np.asarray(v, dtype=np.float64) for v in values])
     gaps = np.diff(values, axis=0)
     scale = np.abs(values).sum(axis=0)
     return MarginSample(gaps.min(axis=0), None, scale, None)
 
 
-def _exponent_window_fn(lo_default, up_default):
-    # L_p < M < L_q; the overridable "constants" are the exponents.
-    def fn(a, b, lo_c, up_c):
-        m = neuman_sandor(a, b)
-        p = lo_default if lo_c is None else lo_c
-        q = up_default if up_c is None else up_c
-        below = generalized_logarithmic(p, a, b)
-        above = generalized_logarithmic(q, a, b)
-        scale_lo = np.abs(m) + np.abs(below)
-        scale_up = np.abs(m) + np.abs(above)
-        return MarginSample(m - below, above - m, scale_lo, scale_up)
-
-    return fn
+def _chain(kernels, a, b, lo, up):
+    return _ordered([k(a, b) for k in kernels])
 
 
-def _amt_fn(a, b, lo_c, up_c):
-    am = arithmetic(a, b)
-    m = neuman_sandor(a, b)
-    t = second_seiffert(a, b)
-    scale = np.abs(am) + np.abs(m) + np.abs(t)
-    return MarginSample(m - am, t - m, scale, scale)
-
-
-def _product_fn(a, b, lo_c, up_c):
-    am = arithmetic(a, b)
-    m = neuman_sandor(a, b)
-    t = second_seiffert(a, b)
-    m2 = m * m
-    low_ref = am * t
-    up_ref = 0.5 * (am * am + t * t)
-    return MarginSample(m2 - low_ref, up_ref - m2, m2 + low_ref, m2 + up_ref)
-
-
-_KY_FAN_MEANS = (
-    geometric,
-    _log_mean,
-    first_seiffert,
-    arithmetic,
-    neuman_sandor,
-    second_seiffert,
-)
-
-
-def _ky_fan_fn(a, b, lo_c, up_c):
+def _ky_fan(kernels, a, b, lo, up):
+    # the chain of X/X' with X' = X(1-a, 1-b)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     a2 = 1.0 - a
     b2 = 1.0 - b
-    ratios = np.stack(
-        [np.asarray(f(a, b) / f(a2, b2), dtype=np.float64) for f in _KY_FAN_MEANS]
-    )
-    gaps = np.diff(ratios, axis=0)
-    scale = np.abs(ratios).sum(axis=0)
-    return MarginSample(gaps.min(axis=0), None, scale, None)
+    return _ordered([k(a, b) / k(a2, b2) for k in kernels])
+
+
+def _sandwich(kernels, a, b, lo, up):
+    # X < Y < Z, each side its own margin
+    x, y, z = (k(a, b) for k in kernels)
+    scale = np.abs(x) + np.abs(y) + np.abs(z)
+    return MarginSample(y - x, z - y, scale, scale)
+
+
+def _product(kernels, a, b, lo, up):
+    # X*Z < Y^2 < (X^2 + Z^2)/2
+    x, y, z = (k(a, b) for k in kernels)
+    y2 = y * y
+    low_ref = x * z
+    up_ref = 0.5 * (x * x + z * z)
+    return MarginSample(y2 - low_ref, up_ref - y2, y2 + low_ref, y2 + up_ref)
+
+
+def _window(kernels, a, b, p, q):
+    # L_p < X < L_q; the bounds in force are the exponents.
+    m = kernels[0](a, b)
+    below = generalized_logarithmic(p, a, b)
+    above = generalized_logarithmic(q, a, b)
+    scale_lo = np.abs(m) + np.abs(below)
+    scale_up = np.abs(m) + np.abs(above)
+    return MarginSample(m - below, above - m, scale_lo, scale_up)
+
+
+def _between(*parts) -> str:
+    return " < ".join(p for p in parts if p is not None)
+
+
+class _Form(NamedTuple):
+    margins: Callable  # (kernels, a, b, lower bound, upper bound) -> MarginSample
+    text: Callable  # (symbols, lower text, upper text) -> statement
+    degree: int | None = 1
+    domain: str | None = None
+
+
+_FORMS = {
+    "convex-combination": _Form(
+        _combo,
+        lambda s, lo, up: (
+            f"alpha*{s[0]} + (1-alpha)*{s[1]} < {s[2]} < beta*{s[0]} + (1-beta)*{s[1]}"
+            f" with alpha = {lo}, beta = {up}"
+        ),
+    ),
+    "ratio-bound": _Form(
+        _ratio,
+        lambda s, lo, up: _between(lo, f"({s[0]} - {s[1]})/CH" if len(s) > 1 else f"{s[0]}/CH", up),
+        degree=0,
+    ),
+    "additive-gap": _Form(
+        _gap, lambda s, lo, up: _between(f"({lo})*CH", " - ".join(s), f"({up})*CH")
+    ),
+    "chain": _Form(_chain, lambda s, lo, up: _between(*s)),
+    "sandwich": _Form(_sandwich, lambda s, lo, up: _between(*s)),
+    "product-bound": _Form(
+        _product,
+        lambda s, lo, up: f"{s[0]}*{s[2]} < {s[1]}^2 < ({s[0]}^2 + {s[2]}^2)/2",
+        degree=2,
+    ),
+    "exponent-window": _Form(_window, lambda s, lo, up: _between(f"L[{lo}]", s[0], f"L[{up}]")),
+    "ky-fan-chain": _Form(
+        _ky_fan,
+        lambda s, lo, up: _between(*(f"{x}/{x}'" for x in s)) + " with X' = X(1-a, 1-b)",
+        degree=None,
+        domain="requires 0 < a, b < 1/2",
+    ),
+}
 
 
 # --------------------------------------------------------------------------
 # the records
 
 
-def _combo_record(rec_id, kind, mix_sym, base_sym, inner_sym, mix, base, inner, probes):
-    lo = constant(f"{rec_id}.lower")
-    up = constant(f"{rec_id}.upper")
-    stmt = (
-        f"alpha*{mix_sym} + (1-alpha)*{base_sym} < {inner_sym} < "
-        f"beta*{mix_sym} + (1-beta)*{base_sym}, sharp at both weights"
-    )
+class RecordSpec(NamedTuple):
+    """One catalog record, declared over the symbols of ``means.MEANS``.
+
+    ``means`` lists the symbols, space-separated, in the order the form
+    takes them.  Each side is ``None`` when it carries no constant, a
+    ``(tighten, endpoint)`` pair when its bound is the sharp constant
+    ``{id}.lower`` or ``{id}.upper`` (see :class:`ProbeSpec`), or a plain
+    float for a fixed bound that is not claimed sharp.
+    """
+
+    id: str
+    kind: str
+    form: str
+    means: str
+    lower: tuple[float, str] | float | None = None
+    upper: tuple[float, str] | float | None = None
+
+
+SPECS = (
+    RecordSpec("neuman-QA", "prior-result", "convex-combination", "Q A M", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("neuman-CA", "prior-result", "convex-combination", "C A M", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("zhao-HQ", "prior-result", "convex-combination", "H Q M", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("zhao-GQ", "prior-result", "convex-combination", "G Q M", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("zhao-HC", "prior-result", "convex-combination", "H C M", (-1.0, "far"), (+1.0, "near")),
+    RecordSpec("identric-IQ", "prior-result", "convex-combination", "I Q M", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("thm3.1", "core-result", "ratio-bound", "M C", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("thm3.2", "core-result", "ratio-bound", "M", (+1.0, "far")),
+    RecordSpec("thm3.3", "core-result", "convex-combination", "Q M Cbar", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("thm3.4", "core-result", "convex-combination", "C M Q", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("cor3.1", "core-result", "additive-gap", "C M", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("cor3.2", "core-result", "additive-gap", "Cbar M", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("chain", "classical-ordering", "chain", "G L P A M T Q"),
+    RecordSpec("lp0-l2", "core-result", "exponent-window", "M", (+1.0, "far"), 2.0),
+    RecordSpec("amt", "classical-ordering", "sandwich", "A M T"),
+    RecordSpec("product", "classical-ordering", "product-bound", "A M T"),
+    RecordSpec("kyfan", "classical-ordering", "ky-fan-chain", "G L P A M T"),
+)
+
+
+def _side(spec: RecordSpec, side: str):
+    """(constant, bound, text, probe) of one side of a spec."""
+    given = getattr(spec, side)
+    if given is None:
+        return None, None, None, None
+    if isinstance(given, tuple):
+        const = constant(f"{spec.id}.{side}")
+        return const, const.float_value, const.text, ProbeSpec(side, *given)
+    return None, float(given), format_float(given), None
+
+
+def build_record(spec: RecordSpec) -> InequalityRecord:
+    """Bind a spec's kernels, constants and probes into a record."""
+    form = _FORMS[spec.form]
+    symbols = spec.means.split()
+    kernels = tuple(MEANS[s].kernel for s in symbols)
+    lo_const, lo_default, lo_text, lo_probe = _side(spec, "lower")
+    up_const, up_default, up_text, up_probe = _side(spec, "upper")
+
+    def margin_fn(a, b, lo_c, up_c):
+        lo = lo_default if lo_c is None else lo_c
+        up = up_default if up_c is None else up_c
+        return form.margins(kernels, a, b, lo, up)
+
     return InequalityRecord(
-        id=rec_id,
-        form="convex-combination",
-        statement=stmt,
-        kind=kind,
-        lower=lo,
-        upper=up,
-        probes=probes,
-        margin_fn=_combo_fn(mix, base, inner, lo.float_value, up.float_value),
+        id=spec.id,
+        form=spec.form,
+        statement=form.text(symbols, lo_text, up_text),
+        kind=spec.kind,
+        lower=lo_const,
+        upper=up_const,
+        probes=tuple(p for p in (lo_probe, up_probe) if p is not None),
+        margin_fn=margin_fn,
     )
 
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple[InequalityRecord, ...]:
     """All inequality records, in a stable order."""
-    records = [
-        _combo_record(
-            "neuman-QA", "prior-result", "Q", "A", "M",
-            root_square, arithmetic, neuman_sandor,
-            (ProbeSpec("lower", +1.0, "far"), ProbeSpec("upper", -1.0, "near")),
-        ),
-        _combo_record(
-            "neuman-CA", "prior-result", "C", "A", "M",
-            contraharmonic, arithmetic, neuman_sandor,
-            (ProbeSpec("lower", +1.0, "far"), ProbeSpec("upper", -1.0, "near")),
-        ),
-        _combo_record(
-            "zhao-HQ", "prior-result", "H", "Q", "M",
-            harmonic, root_square, neuman_sandor,
-            (ProbeSpec("lower", -1.0, "near"), ProbeSpec("upper", +1.0, "far")),
-        ),
-        _combo_record(
-            "zhao-GQ", "prior-result", "G", "Q", "M",
-            geometric, root_square, neuman_sandor,
-            (ProbeSpec("lower", -1.0, "near"), ProbeSpec("upper", +1.0, "far")),
-        ),
-        _combo_record(
-            "zhao-HC", "prior-result", "H", "C", "M",
-            harmonic, contraharmonic, neuman_sandor,
-            (ProbeSpec("lower", -1.0, "far"), ProbeSpec("upper", +1.0, "near")),
-        ),
-        _combo_record(
-            "identric-IQ", "prior-result", "I", "Q", "M",
-            _identric, root_square, neuman_sandor,
-            (ProbeSpec("lower", -1.0, "near"), ProbeSpec("upper", +1.0, "far")),
-        ),
-        InequalityRecord(
-            id="thm3.1",
-            form="ratio-bound",
-            statement="1/(2*ln(1+sqrt(2))) - 1 < (M - C)/CH < -5/12, both ends sharp",
-            kind="core-result",
-            lower=constant("thm3.1.lower"),
-            upper=constant("thm3.1.upper"),
-            homogeneity_degree=0,
-            probes=(ProbeSpec("lower", +1.0, "far"), ProbeSpec("upper", -1.0, "near")),
-            margin_fn=_ratio_mc_fn(
-                constant("thm3.1.lower").float_value,
-                constant("thm3.1.upper").float_value,
-            ),
-        ),
-        InequalityRecord(
-            id="thm3.2",
-            form="ratio-bound",
-            statement="M/CH > 1/(2*ln(1+sqrt(2))), the bound approached as a/b grows",
-            kind="core-result",
-            lower=constant("thm3.2.lower"),
-            upper=None,
-            homogeneity_degree=0,
-            probes=(ProbeSpec("lower", +1.0, "far"),),
-            margin_fn=_ratio_one_sided_fn(constant("thm3.2.lower").float_value),
-        ),
-        _combo_record(
-            "thm3.3", "core-result", "Q", "M", "Cbar",
-            root_square, neuman_sandor, centroidal,
-            (ProbeSpec("lower", +1.0, "near"), ProbeSpec("upper", -1.0, "far")),
-        ),
-        _combo_record(
-            "thm3.4", "core-result", "C", "M", "Q",
-            contraharmonic, neuman_sandor, root_square,
-            (ProbeSpec("lower", +1.0, "far"), ProbeSpec("upper", -1.0, "near")),
-        ),
-        InequalityRecord(
-            id="cor3.1",
-            form="additive-gap",
-            statement="(5/12)*CH < C - M < (1 - 1/(2*ln(1+sqrt(2))))*CH, both ends sharp",
-            kind="core-result",
-            lower=constant("cor3.1.lower"),
-            upper=constant("cor3.1.upper"),
-            probes=(ProbeSpec("lower", +1.0, "near"), ProbeSpec("upper", -1.0, "far")),
-            margin_fn=_additive_fn(
-                contraharmonic,
-                constant("cor3.1.lower").float_value,
-                constant("cor3.1.upper").float_value,
-            ),
-        ),
-        InequalityRecord(
-            id="cor3.2",
-            form="additive-gap",
-            statement="(1/12)*CH < Cbar - M < (2/3 - 1/(2*ln(1+sqrt(2))))*CH, both ends sharp",
-            kind="core-result",
-            lower=constant("cor3.2.lower"),
-            upper=constant("cor3.2.upper"),
-            probes=(ProbeSpec("lower", +1.0, "near"), ProbeSpec("upper", -1.0, "far")),
-            margin_fn=_additive_fn(
-                centroidal,
-                constant("cor3.2.lower").float_value,
-                constant("cor3.2.upper").float_value,
-            ),
-        ),
-        InequalityRecord(
-            id="chain",
-            form="chain",
-            statement="G < L[-1] < P < A < M < T < Q for distinct arguments",
-            kind="classical-ordering",
-            lower=None,
-            upper=None,
-            margin_fn=_chain_fn,
-        ),
-        InequalityRecord(
-            id="lp0-l2",
-            form="exponent-window",
-            statement="L[p0] < M < L[2], with p0 the root of (p+1)^(1/p) = 2*ln(1+sqrt(2))",
-            kind="core-result",
-            lower=constant("lp0-l2.lower"),
-            upper=None,
-            probes=(ProbeSpec("lower", +1.0, "far"),),
-            margin_fn=_exponent_window_fn(constant("lp0-l2.lower").float_value, 2.0),
-        ),
-        InequalityRecord(
-            id="amt",
-            form="sandwich",
-            statement="A < M < T for distinct arguments",
-            kind="classical-ordering",
-            lower=None,
-            upper=None,
-            margin_fn=_amt_fn,
-        ),
-        InequalityRecord(
-            id="product",
-            form="product-bound",
-            statement="A*T < M^2 < (A^2 + T^2)/2 for distinct arguments",
-            kind="classical-ordering",
-            lower=None,
-            upper=None,
-            homogeneity_degree=2,
-            margin_fn=_product_fn,
-        ),
-        InequalityRecord(
-            id="kyfan",
-            form="ky-fan-chain",
-            statement=(
-                "G/G' < L[-1]/L' < P/P' < A/A' < M/M' < T/T' with X' = X(1-a, 1-b)"
-            ),
-            kind="classical-ordering",
-            lower=None,
-            upper=None,
-            domain_note="requires 0 < a, b < 1/2",
-            homogeneity_degree=None,
-            sampler="unit-interval",
-            margin_fn=_ky_fan_fn,
-        ),
-    ]
-    return tuple(records)
+    return tuple(build_record(spec) for spec in SPECS)
 
 
 def record(record_id: str) -> InequalityRecord:
@@ -479,9 +391,8 @@ class Margins:
 
 
 def _check_domain(rec: InequalityRecord, a: float, b: float) -> None:
-    if rec.domain_note is not None:
-        if not (0.0 < a < 0.5 and 0.0 < b < 0.5):
-            raise NotApplicableError(f"{rec.id}: {rec.domain_note}")
+    if rec.domain_note is not None and not (0.0 < a < 0.5 and 0.0 < b < 0.5):
+        raise NotApplicableError(f"{rec.id}: {rec.domain_note}")
 
 
 def verify(rec, pair: PositivePair) -> Margins:

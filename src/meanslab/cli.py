@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success (all checks passed), 1 when a verification
-produced a certified failure, 2 on usage or domain errors.
+produced a certified failure, 2 on usage, domain or I/O errors.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from . import reporting
 from .catalog import catalog, record, sharpness_probe, verify, verify_random
 from .constants import sharp_constants
-from .errors import BracketError, DomainError, ParameterError
-from .means import MeanKind, PositivePair, evaluate
+from .errors import BracketError, DomainError, NotApplicableError, ParameterError
+from .means import PositivePair, parse
 from .ratios import THETA_STAR, h_eval, solve_p0
 from .series import SeriesId, difference_sign_check
 
@@ -31,7 +31,6 @@ COMMANDS = (
     "sharpness",
     "p0",
     "constants",
-    "export",
 )
 
 DEFAULT_SEED = 42
@@ -115,7 +114,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     sub.add_parser("p0", parents=[common], help="solve for the critical exponent")
     sub.add_parser("constants", parents=[common], help="list the sharp constants")
-    sub.add_parser("export", parents=[common], help="re-emit the last verify report")
 
     return parser
 
@@ -137,9 +135,9 @@ def _finish(rows: list[dict], cfg: RunConfig, code: int) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, args) -> int:
-    kind = MeanKind.parse(args.mean)
-    value = evaluate(kind, PositivePair(args.a, args.b))
-    rows = [reporting.eval_row(kind.label(), args.a, args.b, value)]
+    label, kernel = parse(args.mean)
+    pair = PositivePair(args.a, args.b)
+    rows = [reporting.eval_row(label, args.a, args.b, kernel(pair.a, pair.b))]
     return _finish(rows, cfg, 0)
 
 
@@ -191,7 +189,6 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         report = verify_random(rec, cfg.samples, cfg.seed)
         rows = [reporting.report_row(report)]
         code = 0 if report.passed else 1
-    reporting.save_state(rows)
     return _finish(rows, cfg, code)
 
 
@@ -202,7 +199,6 @@ def _cmd_verify_all(cfg: RunConfig, args) -> int:
         report = verify_random(rec, cfg.samples, cfg.seed)
         ok = ok and report.passed
         rows.append(reporting.report_row(report))
-    reporting.save_state(rows)
     return _finish(rows, cfg, 0 if ok else 1)
 
 
@@ -221,14 +217,6 @@ def _cmd_sharpness(cfg: RunConfig, args) -> int:
     return _finish(rows, cfg, 0 if ok else 1)
 
 
-def _cmd_export(cfg: RunConfig, args) -> int:
-    try:
-        rows = reporting.load_state()
-    except FileNotFoundError:
-        raise ParameterError("no saved report found; run verify-all first")
-    return _finish(rows, cfg, 0)
-
-
 _DISPATCH = {
     "eval": _cmd_eval,
     "verify-all": _cmd_verify_all,
@@ -238,7 +226,6 @@ _DISPATCH = {
     "sharpness": _cmd_sharpness,
     "p0": _cmd_p0,
     "constants": _cmd_constants,
-    "export": _cmd_export,
 }
 
 
@@ -256,7 +243,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = _config(args)
         return _DISPATCH[args.command](cfg, args)
-    except (ParameterError, DomainError, BracketError, ValueError) as exc:
+    except (ParameterError, DomainError, NotApplicableError, BracketError, ValueError, OSError) as exc:
         print(f"meanslab: {exc}", file=sys.stderr)
         return 2
 

@@ -10,13 +10,18 @@ The mean functions accept plain floats or NumPy arrays of the same shape and
 return the matching kind; scalar in, float out.  All of them normalise the
 operands to (hi, lo) order first, which makes symmetry exact at the bit
 level rather than merely up to rounding.
+
+``MEANS`` is the one table of means: it maps each symbol the inequality
+catalog is written in to the label reports print, the names the command
+line accepts, and the kernel.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +30,8 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "TAU_P",
     "TAU_SERIES",
-    "MeanFamily",
-    "MeanKind",
+    "MEANS",
+    "Mean",
     "PositivePair",
     "arithmetic",
     "geometric",
@@ -39,7 +44,7 @@ __all__ = [
     "neuman_sandor",
     "generalized_logarithmic",
     "ch_difference",
-    "evaluate",
+    "parse",
 ]
 
 # Below this value of t = (hi - lo)/(hi + lo) the Neuman–Sándor quotient
@@ -78,94 +83,6 @@ class PositivePair:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.a, self.b)
-
-
-class MeanFamily(enum.Enum):
-    """Tags for the mean families this package evaluates."""
-
-    ARITHMETIC = "arithmetic"
-    GEOMETRIC = "geometric"
-    HARMONIC = "harmonic"
-    CENTROIDAL = "centroidal"
-    CONTRAHARMONIC = "contraharmonic"
-    FIRST_SEIFFERT = "first-seiffert"
-    SECOND_SEIFFERT = "second-seiffert"
-    ROOT_SQUARE = "root-square"
-    NEUMAN_SANDOR = "neuman-sandor"
-    GENERALIZED_LOG = "generalized-logarithmic"
-
-
-_ALIASES = {
-    "arithmetic": MeanFamily.ARITHMETIC,
-    "a": MeanFamily.ARITHMETIC,
-    "geometric": MeanFamily.GEOMETRIC,
-    "g": MeanFamily.GEOMETRIC,
-    "harmonic": MeanFamily.HARMONIC,
-    "h": MeanFamily.HARMONIC,
-    "centroidal": MeanFamily.CENTROIDAL,
-    "contraharmonic": MeanFamily.CONTRAHARMONIC,
-    "c": MeanFamily.CONTRAHARMONIC,
-    "first-seiffert": MeanFamily.FIRST_SEIFFERT,
-    "seiffert1": MeanFamily.FIRST_SEIFFERT,
-    "p": MeanFamily.FIRST_SEIFFERT,
-    "second-seiffert": MeanFamily.SECOND_SEIFFERT,
-    "seiffert2": MeanFamily.SECOND_SEIFFERT,
-    "t": MeanFamily.SECOND_SEIFFERT,
-    "root-square": MeanFamily.ROOT_SQUARE,
-    "quadratic": MeanFamily.ROOT_SQUARE,
-    "q": MeanFamily.ROOT_SQUARE,
-    "neuman-sandor": MeanFamily.NEUMAN_SANDOR,
-    "ns": MeanFamily.NEUMAN_SANDOR,
-    "m": MeanFamily.NEUMAN_SANDOR,
-}
-
-
-@dataclass(frozen=True)
-class MeanKind:
-    """A mean family plus, for the generalized logarithmic family, its order p."""
-
-    family: MeanFamily
-    p: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.family is MeanFamily.GENERALIZED_LOG:
-            if self.p is None or not math.isfinite(float(self.p)):
-                raise ParameterError("generalized logarithmic mean needs a finite p")
-            object.__setattr__(self, "p", float(self.p))
-        elif self.p is not None:
-            raise ParameterError(f"{self.family.value} mean takes no parameter")
-
-    @classmethod
-    def parse(cls, text: str) -> "MeanKind":
-        """Parse a mean name as used on the command line.
-
-        Accepts the family names (``arithmetic``, ``neuman-sandor``, ...),
-        single-letter shorthands (``A``, ``G``, ``H``, ``C``, ``P``, ``T``,
-        ``Q``, ``M``), ``identric``/``I`` and ``logarithmic``/``L`` for the
-        p = 0 and p = -1 members, and ``L:<p>`` (or ``glog:<p>``) for a
-        general order.
-        """
-        key = text.strip().lower()
-        if key in ("identric", "i"):
-            return cls(MeanFamily.GENERALIZED_LOG, 0.0)
-        if key in ("logarithmic", "l"):
-            return cls(MeanFamily.GENERALIZED_LOG, -1.0)
-        if ":" in key:
-            head, _, tail = key.partition(":")
-            if head in ("l", "glog", "generalized-logarithmic"):
-                try:
-                    return cls(MeanFamily.GENERALIZED_LOG, float(tail))
-                except ValueError:
-                    raise ParameterError(f"bad order in mean name {text!r}") from None
-        family = _ALIASES.get(key)
-        if family is None:
-            raise ParameterError(f"unknown mean name {text!r}")
-        return cls(family)
-
-    def label(self) -> str:
-        if self.family is MeanFamily.GENERALIZED_LOG:
-            return f"L[{format_float(self.p)}]"
-        return self.family.value
 
 
 def format_float(x: float) -> str:
@@ -345,21 +262,51 @@ def ch_difference(a, b):
     return _ret(gap * (gap / (hi + lo)))
 
 
-_DISPATCH = {
-    MeanFamily.ARITHMETIC: arithmetic,
-    MeanFamily.GEOMETRIC: geometric,
-    MeanFamily.HARMONIC: harmonic,
-    MeanFamily.CENTROIDAL: centroidal,
-    MeanFamily.CONTRAHARMONIC: contraharmonic,
-    MeanFamily.FIRST_SEIFFERT: first_seiffert,
-    MeanFamily.SECOND_SEIFFERT: second_seiffert,
-    MeanFamily.ROOT_SQUARE: root_square,
-    MeanFamily.NEUMAN_SANDOR: neuman_sandor,
+class Mean(NamedTuple):
+    """One registry entry: the label reports print, every name the command
+    line accepts for it (lower case), and its kernel."""
+
+    label: str
+    aliases: tuple[str, ...]
+    kernel: Callable
+
+
+# The means the catalog is written over, by the symbol its statements use.
+MEANS = {
+    "A": Mean("arithmetic", ("arithmetic", "a"), arithmetic),
+    "G": Mean("geometric", ("geometric", "g"), geometric),
+    "H": Mean("harmonic", ("harmonic", "h"), harmonic),
+    "Cbar": Mean("centroidal", ("centroidal",), centroidal),
+    "C": Mean("contraharmonic", ("contraharmonic", "c"), contraharmonic),
+    "P": Mean("first-seiffert", ("first-seiffert", "seiffert1", "p"), first_seiffert),
+    "T": Mean("second-seiffert", ("second-seiffert", "seiffert2", "t"), second_seiffert),
+    "Q": Mean("root-square", ("root-square", "quadratic", "q"), root_square),
+    "M": Mean("neuman-sandor", ("neuman-sandor", "ns", "m"), neuman_sandor),
+    "I": Mean("L[0]", ("identric", "i"), partial(generalized_logarithmic, 0.0)),
+    "L": Mean("L[-1]", ("logarithmic", "l"), partial(generalized_logarithmic, -1.0)),
 }
 
+_GLOG_HEADS = ("l", "glog", "generalized-logarithmic")
 
-def evaluate(kind: MeanKind, pair: PositivePair) -> float:
-    """Evaluate one mean on one validated pair."""
-    if kind.family is MeanFamily.GENERALIZED_LOG:
-        return generalized_logarithmic(kind.p, pair.a, pair.b)
-    return _DISPATCH[kind.family](pair.a, pair.b)
+
+def parse(text: str) -> tuple[str, Callable]:
+    """Resolve a mean name as used on the command line to ``(label, kernel)``.
+
+    Accepts the aliases in ``MEANS`` in any case, and ``L:<p>`` (or
+    ``glog:<p>``, ``generalized-logarithmic:<p>``) for the generalized
+    logarithmic mean of any finite order p, labelled ``L[p]``.
+    """
+    key = text.strip().lower()
+    head, colon, tail = key.partition(":")
+    if colon and head in _GLOG_HEADS:
+        try:
+            p = float(tail)
+        except ValueError:
+            p = math.nan
+        if not math.isfinite(p):
+            raise ParameterError(f"bad order in mean name {text!r}")
+        return f"L[{format_float(p)}]", partial(generalized_logarithmic, p)
+    for mean in MEANS.values():
+        if key in mean.aliases:
+            return mean.label, mean.kernel
+    raise ParameterError(f"unknown mean name {text!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from pathlib import Path
 
 import mpmath as mp
 
@@ -23,24 +22,19 @@ from .series import DifferenceReport
 
 __all__ = [
     "ROW_FIELDS",
-    "STATE_FILENAME",
     "constant_row",
     "emit",
     "eval_row",
-    "load_state",
     "pair_margins_row",
     "probe_row",
     "p0_row",
     "render",
     "report_row",
-    "save_state",
     "scan_row",
     "series_row",
 ]
 
 ROW_FIELDS = ("id", "kind", "inputs", "values", "margins", "pass")
-
-STATE_FILENAME = ".meanslab-last-report.jsonl"
 
 
 def _row(row_id, kind, inputs, values, margins, passed):
@@ -237,16 +231,3 @@ def emit(text: str, output_path: str | None) -> None:
         import sys
 
         sys.stdout.write(text)
-
-
-def save_state(rows: list[dict], directory: str | None = None) -> Path:
-    """Persist rows as the last report, for the export command."""
-    path = Path(directory or ".") / STATE_FILENAME
-    path.write_text(render(rows, "json-lines"), encoding="utf-8", newline="\n")
-    return path
-
-
-def load_state(directory: str | None = None) -> list[dict]:
-    path = Path(directory or ".") / STATE_FILENAME
-    text = path.read_text(encoding="utf-8")
-    return [json.loads(line) for line in text.splitlines() if line.strip()]

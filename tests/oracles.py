@@ -6,6 +6,8 @@ than the package uses (difference quotients instead of ratio rewrites,
 arctan instead of arcsin, and so on), so agreement is meaningful.
 """
 
+from functools import partial
+
 import mpmath as mp
 
 DPS = 50
@@ -97,16 +99,19 @@ def ch_diff(a, b):
         return (a - b) ** 2 / (a + b)
 
 
+# keyed by the symbols of meanslab.means.MEANS
 MEANS = {
-    "arithmetic": arith,
-    "geometric": geom,
-    "harmonic": harm,
-    "contraharmonic": contra,
-    "centroidal": centro,
-    "root-square": rootsq,
-    "first-seiffert": seiffert1,
-    "second-seiffert": seiffert2,
-    "neuman-sandor": neuman,
+    "A": arith,
+    "G": geom,
+    "H": harm,
+    "Cbar": centro,
+    "C": contra,
+    "P": seiffert1,
+    "T": seiffert2,
+    "Q": rootsq,
+    "M": neuman,
+    "I": partial(glog, 0),
+    "L": partial(glog, -1),
 }
 
 

@@ -1,5 +1,7 @@
 """The inequality catalog: margins, random verification, scaling, sharpness."""
 
+from collections import Counter
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from meanslab import (
     PositivePair,
     catalog,
     record,
+    sharp_constants,
     sharpness_probe,
     verify,
     verify_random,
@@ -35,6 +38,21 @@ def test_catalog_contents():
         assert r.strict
     with pytest.raises(ParameterError):
         record("thm9.9")
+
+
+def test_attached_constants_are_the_sharp_constants_each_probed_once():
+    attached = {}
+    probed = Counter()
+    for rec in catalog():
+        for side in ("lower", "upper"):
+            const = getattr(rec, side)
+            if const is not None:
+                assert const.name == f"{rec.id}.{side}"
+                attached[const.name] = const
+        probed.update(f"{rec.id}.{spec.side}" for spec in rec.probes)
+    assert attached == {c.name: c for c in sharp_constants()}
+    assert len(attached) == 24
+    assert probed == Counter(attached.keys())
 
 
 def test_ratio_record_margins_on_a_worked_pair():

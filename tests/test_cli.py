@@ -8,19 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import meanslab
 import meanslab.cli as cli
-from meanslab.catalog import InequalityRecord, MarginSample
+from meanslab.catalog import RecordSpec, build_record
 from meanslab.cli import RunConfig, run
 from meanslab.errors import ParameterError
 
 
 @pytest.fixture(autouse=True)
 def in_tmp_cwd(tmp_path, monkeypatch):
-    # verify/verify-all drop a state file into the working directory
+    # commands write nothing into the working directory; run each test in an
+    # empty one so the ones that write files cannot litter the checkout
     monkeypatch.chdir(tmp_path)
 
 
@@ -134,22 +134,6 @@ def test_machine_output_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
-def test_export_reemits_the_last_report(capsys):
-    _, jl = run_cli(capsys, "verify-all", "--samples", "300", "--format", "json-lines")
-    code, exported = run_cli(capsys, "export", "--format", "json-lines")
-    assert code == 0
-    assert exported == jl
-    # and the csv view of the same saved rows carries the same records
-    code, as_csv = run_cli(capsys, "export", "--format", "csv")
-    assert code == 0
-    assert len(as_csv.strip().splitlines()) == 18  # header + 17 records
-
-
-def test_export_without_state_is_a_usage_error(capsys):
-    code, _ = run_cli(capsys, "export")
-    assert code == 2
-
-
 def test_output_file_written_with_lf(tmp_path, capsys):
     target = tmp_path / "report.jsonl"
     code, out = run_cli(
@@ -162,6 +146,18 @@ def test_output_file_written_with_lf(tmp_path, capsys):
     assert raw.endswith(b"\n")
     assert b"\r" not in raw
     assert json.loads(raw.decode("utf-8"))["id"] == "amt"
+
+
+def test_unwritable_output_is_an_io_error_exit_2(tmp_path, capsys):
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    code = run(["verify-all", "--samples", "10", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("meanslab: ")
+    # nothing else lands in the working directory, which is tmp_path
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
 
 
 def test_seed_env_var_is_the_default(capsys, monkeypatch):
@@ -184,27 +180,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify", "--record", "thm3.1", "--a", "3"]) == 2
     assert run(["sharpness", "--record", "chain"]) == 2
     assert run(["sharpness", "--record", "thm3.1", "--epsilon", "-1"]) == 2
+    assert run(["verify", "--record", "kyfan", "--a", "0.7", "--b", "0.2"]) == 2
     assert run([]) == 2
 
 
 def test_a_failing_verification_exits_1(capsys, monkeypatch):
-    # a deliberately false statement: A < G fails on every distinct pair
-    def upside_down(a, b, lo_c, up_c):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        g = np.sqrt(a) * np.sqrt(b)
-        m = (a + b) / 2.0
-        return MarginSample(g - m, None, g + m, None)
-
-    bogus = InequalityRecord(
-        id="bogus-ag",
-        form="sandwich",
-        statement="A < G (false)",
-        kind="classical-ordering",
-        lower=None,
-        upper=None,
-        margin_fn=upside_down,
-    )
+    # a deliberately false statement: the chain A < G fails on every distinct pair
+    bogus = build_record(RecordSpec("bogus-ag", "classical-ordering", "chain", "A G"))
     monkeypatch.setattr(cli, "record", lambda rid: bogus)
     code, out = run_cli(capsys, "verify", "--record", "bogus-ag", "--samples", "200")
     assert code == 1

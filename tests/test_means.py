@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 import oracles
 from meanslab import (
+    MEANS,
     DomainError,
-    MeanFamily,
-    MeanKind,
     ParameterError,
     PositivePair,
     arithmetic,
     centroidal,
     ch_difference,
     contraharmonic,
-    evaluate,
     first_seiffert,
     generalized_logarithmic,
     geometric,
@@ -27,18 +25,9 @@ from meanslab import (
     root_square,
     second_seiffert,
 )
+from meanslab.means import parse
 
-ALL_MEANS = [
-    arithmetic,
-    geometric,
-    harmonic,
-    centroidal,
-    contraharmonic,
-    root_square,
-    first_seiffert,
-    second_seiffert,
-    neuman_sandor,
-]
+KERNELS = [mean.kernel for mean in MEANS.values()]
 
 positive = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -65,7 +54,9 @@ def test_neuman_sandor_value():
 @pytest.mark.parametrize("fn,name", [(first_seiffert, "first-seiffert"),
                                      (second_seiffert, "second-seiffert")])
 def test_seiffert_values(fn, name):
-    want = float(oracles.MEANS[name](2, 5))
+    (symbol,) = [s for s, mean in MEANS.items() if mean.label == name]
+    assert MEANS[symbol].kernel is fn
+    want = float(oracles.MEANS[symbol](2, 5))
     assert fn(2, 5) == pytest.approx(want, rel=5e-16)
 
 
@@ -83,7 +74,7 @@ def test_generalized_logarithmic_members():
 
 
 def test_equal_arguments_return_the_argument():
-    for fn in ALL_MEANS:
+    for fn in KERNELS:
         assert fn(2.5, 2.5) == 2.5
     for p in (-3.0, -1.0, 0.0, 1.0, 2.0):
         assert generalized_logarithmic(p, 2.5, 2.5) == 2.5
@@ -96,7 +87,7 @@ def test_equal_arguments_return_the_argument():
 @settings(max_examples=200)
 @given(a=positive, b=positive)
 def test_symmetry_is_exact(a, b):
-    for fn in ALL_MEANS:
+    for fn in KERNELS:
         assert fn(a, b) == fn(b, a)
     assert generalized_logarithmic(2.0, a, b) == generalized_logarithmic(2.0, b, a)
     assert ch_difference(a, b) == ch_difference(b, a)
@@ -105,7 +96,7 @@ def test_symmetry_is_exact(a, b):
 @settings(max_examples=100)
 @given(a=positive, b=positive, lam=st.sampled_from([1e-6, 1.0, 1e6]))
 def test_homogeneity(a, b, lam):
-    for fn in ALL_MEANS:
+    for fn in KERNELS:
         assert fn(lam * a, lam * b) == pytest.approx(lam * fn(a, b), rel=1e-14)
 
 
@@ -114,7 +105,7 @@ def test_homogeneity(a, b, lam):
 def test_internality(a, b):
     lo, hi = min(a, b), max(a, b)
     slack = 2 * np.finfo(float).eps * hi
-    for fn in ALL_MEANS:
+    for fn in KERNELS:
         v = fn(a, b)
         assert lo - slack <= v <= hi + slack
     for p in (-2.0, -1.0, 0.0, 1.5):
@@ -256,33 +247,46 @@ def test_mean_functions_reject_bad_input():
         generalized_logarithmic(2.0, float("nan"), 1.0)
 
 
-def test_mean_kind_parsing():
-    assert MeanKind.parse("arithmetic").family is MeanFamily.ARITHMETIC
-    assert MeanKind.parse("A").family is MeanFamily.ARITHMETIC
-    assert MeanKind.parse("ns").family is MeanFamily.NEUMAN_SANDOR
-    assert MeanKind.parse("M").family is MeanFamily.NEUMAN_SANDOR
-    assert MeanKind.parse("quadratic").family is MeanFamily.ROOT_SQUARE
-
-    kind = MeanKind.parse("L:2")
-    assert kind.family is MeanFamily.GENERALIZED_LOG and kind.p == 2.0
-    assert kind.label() == "L[2]"
-    assert MeanKind.parse("identric").p == 0.0
-    assert MeanKind.parse("I").p == 0.0
-    assert MeanKind.parse("logarithmic").p == -1.0
-    assert MeanKind.parse("glog:-0.5").p == -0.5
-
-    with pytest.raises(ParameterError):
-        MeanKind.parse("bogus")
-    with pytest.raises(ParameterError):
-        MeanKind.parse("L:abc")
-    with pytest.raises(ParameterError):
-        MeanKind(MeanFamily.ARITHMETIC, p=1.0)
-    with pytest.raises(ParameterError):
-        MeanKind(MeanFamily.GENERALIZED_LOG)
+# Names the command line accepts, with the label each one reports.
+ACCEPTED_NAMES = {
+    "arithmetic": "arithmetic", "a": "arithmetic", "A": "arithmetic",
+    "geometric": "geometric", "g": "geometric", "G": "geometric",
+    "harmonic": "harmonic", "h": "harmonic", "H": "harmonic",
+    "centroidal": "centroidal",
+    "contraharmonic": "contraharmonic", "c": "contraharmonic", "C": "contraharmonic",
+    "first-seiffert": "first-seiffert", "seiffert1": "first-seiffert", "P": "first-seiffert",
+    "second-seiffert": "second-seiffert", "seiffert2": "second-seiffert", "T": "second-seiffert",
+    "root-square": "root-square", "quadratic": "root-square", "Q": "root-square",
+    "neuman-sandor": "neuman-sandor", "ns": "neuman-sandor", "M": "neuman-sandor",
+    " m ": "neuman-sandor",
+    "identric": "L[0]", "I": "L[0]", "logarithmic": "L[-1]", "l": "L[-1]",
+    "L:2": "L[2]", "l:2": "L[2]", "glog:-0.5": "L[-0.5]", "GLOG:2": "L[2]",
+    "generalized-logarithmic:3.7": "L[3.7]", "L:0": "L[0]", "L:-0": "L[-0]",
+    "L:-1": "L[-1]", "L:1e-7": "L[1e-07]", "L: 2": "L[2]",
+}
 
 
-def test_evaluate_dispatch():
-    pair = PositivePair(1.0, 3.0)
-    assert evaluate(MeanKind.parse("arithmetic"), pair) == 2.0
-    assert evaluate(MeanKind.parse("L:2"), pair) == generalized_logarithmic(2.0, 1.0, 3.0)
-    assert evaluate(MeanKind.parse("M"), pair) == neuman_sandor(1.0, 3.0)
+def test_every_accepted_name_resolves_to_its_label():
+    for name, label in ACCEPTED_NAMES.items():
+        assert parse(name)[0] == label, name
+    for name in ("bogus", "L:abc", "L:inf", "L:nan", "glog:", "a:1"):
+        with pytest.raises(ParameterError):
+            parse(name)
+    assert parse("arithmetic")[1](1.0, 3.0) == 2.0
+    assert parse("L:2")[1](1.0, 3.0) == generalized_logarithmic(2.0, 1.0, 3.0)
+    assert parse("identric")[1](1.0, 3.0) == generalized_logarithmic(0.0, 1.0, 3.0)
+
+
+# The tolerances of the value and stability tests above: a few ulp for the
+# algebraic means, 1e-12 for the transcendental ones.
+ORACLE_RTOL = {"P": 1e-12, "T": 1e-12, "M": 1e-12, "I": 1e-12, "L": 1e-12}
+
+
+@pytest.mark.parametrize("symbol", list(MEANS))
+def test_registry_kernels_match_their_oracles(symbol):
+    kernel = MEANS[symbol].kernel
+    rtol = ORACLE_RTOL.get(symbol, 1e-15)
+    for r in np.geomspace(1.0 + 1e-8, 1e8, 40):
+        for a, b in ((float(r), 1.0), (0.5, 0.5 * float(r))):
+            want = float(oracles.MEANS[symbol](a, b))
+            assert kernel(a, b) == pytest.approx(want, rel=rtol), (a, b)
