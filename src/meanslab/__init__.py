@@ -46,11 +46,9 @@ from .means import (
 )
 from .ratios import (
     THETA_STAR,
-    HFunction,
     IdentityResiduals,
     ScanVerdict,
     h_eval,
-    h_function,
     identity_residuals,
     m_to_ch_ratio,
     monotonicity_scan,
@@ -75,7 +73,6 @@ __all__ = [
     "DegeneratePairError",
     "DifferenceReport",
     "DomainError",
-    "HFunction",
     "IdentityResiduals",
     "InequalityRecord",
     "LemmaSeries",
@@ -108,7 +105,6 @@ __all__ = [
     "generalized_logarithmic",
     "geometric",
     "h_eval",
-    "h_function",
     "harmonic",
     "identity_residuals",
     "m_to_ch_ratio",

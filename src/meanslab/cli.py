@@ -22,17 +22,6 @@ from .means import PositivePair, parse
 from .ratios import THETA_STAR, h_eval, solve_p0
 from .series import SeriesId, difference_sign_check
 
-COMMANDS = (
-    "eval",
-    "verify-all",
-    "verify",
-    "series-check",
-    "scan",
-    "sharpness",
-    "p0",
-    "constants",
-)
-
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 100_000
 DEFAULT_DEPTH = 200
@@ -50,13 +39,13 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _DISPATCH:
             raise ParameterError(f"unknown command {self.command!r}")
         if self.samples < 1:
             raise ParameterError("samples must be at least 1")
         if self.depth < 1:
             raise ParameterError("depth must be at least 1")
-        if self.output_format not in ("human", "json-lines", "csv"):
+        if self.output_format not in reporting.FORMATS:
             raise ParameterError(f"unknown output format {self.output_format!r}")
 
 
@@ -78,7 +67,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         dest="output_format",
-        choices=("human", "json-lines", "csv"),
+        choices=reporting.FORMATS,
         default="human",
     )
     common.add_argument("--output", dest="output_path", default=None)

@@ -12,7 +12,7 @@ Pairs of positive reals only ever produce θ in (0, θ*) with
 θ* = ln(1 + √2) — that is asinh(1), the image of t → 1 — so the function
 values at 0⁺ and θ* are exactly the sharp constants of the inequality
 catalog.  This module evaluates the ratios accurately over the whole range
-(series near 0, cancellation-safe numerator/denominator kernels elsewhere),
+(series near 0, cancellation-safe numerator/denominator lanes elsewhere),
 checks the substitution identities numerically, scans monotonicity, and
 solves the scalar root equation for the exponent p0.
 """
@@ -21,23 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
 from .errors import BracketError, DegeneratePairError, DomainError, ParameterError
 from .means import PositivePair
-from .series import LemmaSeries, SeriesId, coefficient_floats, series, truncated_series_eval
+from .series import SeriesId, _horner, coefficient_floats, series, truncated_series_eval
 
 __all__ = [
     "TAU_H",
     "THETA_STAR",
-    "HFunction",
     "IdentityResiduals",
     "ScanVerdict",
-    "h_function",
     "h_eval",
     "substitution_theta",
     "identity_residuals",
@@ -53,7 +49,12 @@ THETA_STAR = math.log(1.0 + math.sqrt(2.0))
 # Below this θ the ratios come from their truncated power series.
 TAU_H = 1e-3
 
-# The numerators/denominators above are differences of near-equal terms for
+# Largest θ that h_eval accepts.  Pairs only reach θ* and monotonicity_scan
+# stops at 10, while sinh²θ overflows near θ ≈ 355 and turns the ratios
+# into inf, 0 or NaN; the bound stays well below that.
+_THETA_MAX = 300.0
+
+# The numerators/denominators of h1-h3 are differences of near-equal terms for
 # small θ; below this cutoff they are evaluated from their own series so the
 # assembled closed form stays accurate to a few ulp over the whole range.
 # (At the cutoff the direct subtractions lose less than one bit.)
@@ -61,164 +62,69 @@ _KERNEL_CUT = 2.0
 _KERNEL_DEPTH = 18
 
 
-def _poly(coeffs: np.ndarray, x2):
-    acc = np.zeros_like(x2)
-    for c in coeffs[::-1]:
-        acc = acc * x2 + c
-    return acc
+def _lane(th, series_id: SeriesId, side: int, direct):
+    """One side (0 numerator, 1 denominator) of a ratio, safe against cancellation.
 
-
-def _sinh_defect(th):
-    """sinh θ - θ, safe against cancellation for small θ."""
-    small = th < _KERNEL_CUT
-    ts = np.where(small, th, 0.0)
-    num_c, _ = coefficient_floats(SeriesId.H1, _KERNEL_DEPTH)
-    ser = _poly(num_c, ts * ts) * ts * ts * ts
-    tb = np.where(small, 1.0, th)
-    return np.where(small, ser, np.sinh(tb) - tb)
-
-
-def _cosh_sinhc_gap(th):
-    """cosh θ - sinh θ/θ."""
-    small = th < _KERNEL_CUT
-    ts = np.where(small, th, 0.0)
-    _, den_c = coefficient_floats(SeriesId.H2, _KERNEL_DEPTH)
-    ser = _poly(den_c, ts * ts) * ts * ts
-    tb = np.where(small, 1.0, th)
-    return np.where(small, ser, np.cosh(tb) - np.sinh(tb) / tb)
-
-
-def _h2_numerator(th):
-    """1 - sinh θ/θ + sinh²θ/3."""
-    small = th < _KERNEL_CUT
-    ts = np.where(small, th, 0.0)
-    num_c, _ = coefficient_floats(SeriesId.H2, _KERNEL_DEPTH)
-    ser = _poly(num_c, ts * ts) * ts * ts
-    tb = np.where(small, 1.0, th)
-    s = np.sinh(tb)
-    return np.where(small, ser, 1.0 - s / tb + s * s / 3.0)
-
-
-def _h3_denominator(th):
-    """1 + sinh²θ - sinh θ/θ."""
-    small = th < _KERNEL_CUT
-    ts = np.where(small, th, 0.0)
-    _, den_c = coefficient_floats(SeriesId.H3, _KERNEL_DEPTH)
-    ser = _poly(den_c, ts * ts) * ts * ts
-    tb = np.where(small, 1.0, th)
-    s = np.sinh(tb)
-    return np.where(small, ser, 1.0 + s * s - s / tb)
-
-
-def _h1_safe(th):
-    s = np.sinh(th)
-    return _sinh_defect(th) / (2.0 * th * s * s)
-
-
-def _h2_safe(th):
-    return _h2_numerator(th) / _cosh_sinhc_gap(th)
-
-
-def _h3_safe(th):
-    return _cosh_sinhc_gap(th) / _h3_denominator(th)
-
-
-@dataclass(frozen=True)
-class HFunction:
-    """One of the three ratio functions, with its series and endpoint data.
-
-    ``closed_form`` is the textbook formula, valid for θ > 0 and used as an
-    oracle at moderate arguments; :func:`h_eval` is the accurate evaluator.
-    ``endpoint_value`` is the value at θ* to 40 significant digits, stored
-    as an mpmath float.
+    Below ``_KERNEL_CUT`` it is that side's power series times θ^power_offset;
+    elsewhere it is ``direct(θ)``.
     """
-
-    id: SeriesId
-    closed_form: Callable[[float], float]
-    series: LemmaSeries
-    direction: str
-    limit_zero: Fraction
-    endpoint_value: mp.mpf
-
-
-def _naive_h1(th: float) -> float:
-    s = math.sinh(th)
-    return (s - th) / (2.0 * th * s * s)
+    small = th < _KERNEL_CUT
+    ts = np.where(small, th, 0.0)
+    s = series(series_id)
+    ser = _horner(coefficient_floats(s.id, _KERNEL_DEPTH)[side], ts * ts)
+    for _ in range(s.power_offset):  # factor by factor: ts ** power rounds differently
+        ser *= ts
+    tb = np.where(small, 1.0, th)
+    return np.where(small, ser, direct(tb))
 
 
-def _naive_h2(th: float) -> float:
-    s = math.sinh(th)
-    return (1.0 - s / th + s * s / 3.0) / (math.cosh(th) - s / th)
+def _cosh_sinhc_gap(x):
+    """cosh θ - sinh θ/θ: h2's denominator and h3's numerator."""
+    return np.cosh(x) - np.sinh(x) / x
 
 
-def _naive_h3(th: float) -> float:
-    s = math.sinh(th)
-    return (math.cosh(th) - s / th) / (1.0 + s * s - s / th)
+def _h1(th):
+    s = np.sinh(th)
+    return _lane(th, SeriesId.H1, 0, lambda x: np.sinh(x) - x) / (2.0 * th * s * s)
 
 
-def _endpoint_values() -> dict[SeriesId, mp.mpf]:
-    # At θ* we have sinh θ* = 1 and cosh θ* = √2, so each ratio collapses
-    # to a short expression in θ* alone.
-    with mp.workdps(40):
-        ts = mp.log(1 + mp.sqrt(2))
-        h1 = (1 - ts) / (2 * ts)
-        h2 = (mp.mpf(4) / 3 - 1 / ts) / (mp.sqrt(2) - 1 / ts)
-        h3 = (mp.sqrt(2) - 1 / ts) / (2 - 1 / ts)
-    return {SeriesId.H1: h1, SeriesId.H2: h2, SeriesId.H3: h3}
+def _h2(th):
+    def num(x):
+        s = np.sinh(x)
+        return 1.0 - s / x + s * s / 3.0
+
+    return _lane(th, SeriesId.H2, 0, num) / _lane(th, SeriesId.H2, 1, _cosh_sinhc_gap)
 
 
-_ENDPOINTS = _endpoint_values()
+def _h3(th):
+    def den(x):
+        s = np.sinh(x)
+        return 1.0 + s * s - s / x
 
-_H_FUNCTIONS = {
-    SeriesId.H1: HFunction(
-        SeriesId.H1, _naive_h1, series(SeriesId.H1), "decreasing",
-        Fraction(1, 12), _ENDPOINTS[SeriesId.H1],
-    ),
-    SeriesId.H2: HFunction(
-        SeriesId.H2, _naive_h2, series(SeriesId.H2), "increasing",
-        Fraction(1, 2), _ENDPOINTS[SeriesId.H2],
-    ),
-    SeriesId.H3: HFunction(
-        SeriesId.H3, _naive_h3, series(SeriesId.H3), "decreasing",
-        Fraction(2, 5), _ENDPOINTS[SeriesId.H3],
-    ),
-}
-
-_SAFE_FORMS = {
-    SeriesId.H1: _h1_safe,
-    SeriesId.H2: _h2_safe,
-    SeriesId.H3: _h3_safe,
-}
+    return _lane(th, SeriesId.H3, 0, _cosh_sinhc_gap) / _lane(th, SeriesId.H3, 1, den)
 
 
-def h_function(which) -> HFunction:
-    """Resolve an HFunction from itself, a SeriesId, or a string like 'h2'."""
-    if isinstance(which, HFunction):
-        return which
-    if isinstance(which, str):
-        which = which.upper()
-    try:
-        return _H_FUNCTIONS[SeriesId(which)]
-    except (KeyError, ValueError):
-        raise ParameterError(f"unknown h function {which!r}") from None
+_SAFE_FORMS = {SeriesId.H1: _h1, SeriesId.H2: _h2, SeriesId.H3: _h3}
 
 
 def h_eval(which, theta):
-    """Evaluate one of the ratio functions at θ >= 0 (scalar or array).
+    """Evaluate one of the ratio functions at 0 <= θ <= 300 (scalar or array).
 
-    θ below ``TAU_H`` goes through the truncated series (which also covers
-    the continuous extension h(0) = limit_at_zero); everything else goes
-    through the cancellation-safe closed form.
+    ``which`` is a SeriesId or a name such as 'h2'.  θ below ``TAU_H`` goes
+    through the truncated series (which also covers the continuous extension
+    h(0) = limit_at_zero); everything else goes through the
+    cancellation-safe closed form.
     """
-    hf = h_function(which)
+    sid = series(which).id
     th = np.asarray(theta, dtype=np.float64)
-    if not (np.isfinite(th).all() and (th >= 0.0).all()):
-        raise DomainError("h functions are evaluated for θ >= 0")
+    # the comparisons are False for NaN, so this also rejects non-finite θ
+    if not ((th >= 0.0) & (th <= _THETA_MAX)).all():
+        raise DomainError(f"h functions are evaluated for 0 <= θ <= {_THETA_MAX:g}")
     small = th < TAU_H
     ts = np.where(small, th, 0.5 * TAU_H)
-    from_series = truncated_series_eval(hf.id, ts, depth=8)
+    from_series = truncated_series_eval(sid, ts, depth=8)
     tb = np.where(small, 1.0, th)
-    from_closed = _SAFE_FORMS[hf.id](tb)
+    from_closed = _SAFE_FORMS[sid](tb)
     out = np.where(small, from_series, from_closed)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -313,21 +219,21 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
     """
     if grid < 2:
         raise ParameterError("grid must be >= 2")
-    hf = h_function(which)
-    sign = -1.0 if hf.direction == "decreasing" else 1.0
+    s = series(which)
+    sign = -1.0 if s.expected_monotonicity == "decreasing" else 1.0
     min_gap = math.inf
     first_violation = None
     for left, right in ((THETA_STAR / grid, THETA_STAR), (THETA_STAR, 10.0)):
         thetas = np.linspace(left, right, grid)
-        values = h_eval(hf, thetas)
+        values = h_eval(s.id, thetas)
         gaps = sign * np.diff(values)
         worst = int(np.argmin(gaps))
         min_gap = min(min_gap, float(gaps[worst]))
         if gaps[worst] <= 0.0 and first_violation is None:
             first_violation = float(thetas[worst])
     return ScanVerdict(
-        series_id=hf.id,
-        direction=hf.direction,
+        series_id=s.id,
+        direction=s.expected_monotonicity,
         grid=grid,
         passed=first_violation is None,
         min_gap=min_gap,

@@ -21,6 +21,7 @@ from .means import format_float
 from .series import DifferenceReport
 
 __all__ = [
+    "FORMATS",
     "ROW_FIELDS",
     "constant_row",
     "emit",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 ROW_FIELDS = ("id", "kind", "inputs", "values", "margins", "pass")
+FORMATS = ("human", "json-lines", "csv")
 
 
 def _row(row_id, kind, inputs, values, margins, passed):

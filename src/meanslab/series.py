@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
@@ -86,10 +87,7 @@ def _h2_diff(n: int) -> Fraction:
 
 
 # ---- H3: (cosh θ - sinhθ/θ) / (1 + sinh²θ - sinhθ/θ); common factor θ²
-
-
-def _h3_num(n: int) -> Fraction:
-    return Fraction(2 * n + 2, _fact(2 * n + 3))
+# Its numerator is H2's denominator, so it reuses _h2_den.
 
 
 def _h3_den(n: int) -> Fraction:
@@ -115,10 +113,10 @@ class LemmaSeries:
     ``power_offset`` is the power of the expansion variable carried by the
     n = 0 term of the raw sums; it is common to numerator and denominator,
     so it cancels from the ratio and from everything checked here.
-    ``limit_at_zero`` = a_0/b_0 is the ratio's limit as x → 0⁺, and
     ``expected_monotonicity`` is the direction the exact coefficient ratios
     c_n move in — which, coefficientwise, is what drives the quotient
-    function itself up or down.
+    function itself up or down.  This is the one record of h1, h2 and h3:
+    :mod:`meanslab.ratios` takes each function's id and direction from it.
     """
 
     id: SeriesId
@@ -128,24 +126,24 @@ class LemmaSeries:
     ratio_closed: Callable[[int], Fraction]
     difference_closed: Callable[[int], Fraction]
     expected_monotonicity: str
-    limit_at_zero: Fraction
+
+    @property
+    def limit_at_zero(self) -> Fraction:
+        """a_0/b_0, the quotient's limit as x → 0⁺."""
+        return self.ratio_closed(0)
 
 
 _REGISTRY = {
-    SeriesId.H1: LemmaSeries(
-        SeriesId.H1, 3, _h1_num, _h1_den, _h1_ratio, _h1_diff, "decreasing", Fraction(1, 12)
-    ),
-    SeriesId.H2: LemmaSeries(
-        SeriesId.H2, 2, _h2_num, _h2_den, _h2_ratio, _h2_diff, "increasing", Fraction(1, 2)
-    ),
-    SeriesId.H3: LemmaSeries(
-        SeriesId.H3, 2, _h3_num, _h3_den, _h3_ratio, _h3_diff, "decreasing", Fraction(2, 5)
-    ),
+    SeriesId.H1: LemmaSeries(SeriesId.H1, 3, _h1_num, _h1_den, _h1_ratio, _h1_diff, "decreasing"),
+    SeriesId.H2: LemmaSeries(SeriesId.H2, 2, _h2_num, _h2_den, _h2_ratio, _h2_diff, "increasing"),
+    SeriesId.H3: LemmaSeries(SeriesId.H3, 2, _h2_den, _h3_den, _h3_ratio, _h3_diff, "decreasing"),
 }
 
 
 def series(series_id: SeriesId | str) -> LemmaSeries:
-    """Look up the series record for one of the three lemma quotients."""
+    """Look up the record of one lemma quotient by SeriesId or name ('H2' or 'h2')."""
+    if isinstance(series_id, str):
+        series_id = series_id.upper()
     try:
         return _REGISTRY[SeriesId(series_id)]
     except (KeyError, ValueError):
@@ -228,24 +226,25 @@ def difference_sign_check(series_id: SeriesId | str, depth: int = 200) -> Differ
     )
 
 
-_FLOAT_CACHE: dict[tuple[SeriesId, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def coefficient_floats(series_id: SeriesId | str, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients a_0..a_{depth-1} and b_0..b_{depth-1} as doubles.
 
     float(Fraction) rounds to nearest, so each entry is the correctly
-    rounded value of the exact rational.
+    rounded value of the exact rational.  The arrays are cached and shared.
     """
-    key = (SeriesId(series_id), depth)
-    cached = _FLOAT_CACHE.get(key)
-    if cached is None:
-        s = series(series_id)
-        num = np.array([float(s.numerator_coeff(n)) for n in range(depth)])
-        den = np.array([float(s.denominator_coeff(n)) for n in range(depth)])
-        cached = (num, den)
-        _FLOAT_CACHE[key] = cached
-    return cached
+    s = series(series_id)
+    num = np.array([float(s.numerator_coeff(n)) for n in range(depth)])
+    den = np.array([float(s.denominator_coeff(n)) for n in range(depth)])
+    return num, den
+
+
+def _horner(coeffs: np.ndarray, x2):
+    """Σ coeffs[n]·x2ⁿ by Horner's rule, elementwise over ``x2``."""
+    acc = np.zeros_like(x2)
+    for c in coeffs[::-1]:
+        acc = acc * x2 + c
+    return acc
 
 
 def truncated_series_eval(series_id: SeriesId | str, x, depth: int):
@@ -265,11 +264,5 @@ def truncated_series_eval(series_id: SeriesId | str, x, depth: int):
         raise DomainError("series evaluation needs 0 <= x < 1")
     num_c, den_c = coefficient_floats(series_id, depth)
     x2 = x * x
-    num = np.zeros_like(x2)
-    den = np.zeros_like(x2)
-    for c in num_c[::-1]:
-        num = num * x2 + c
-    for c in den_c[::-1]:
-        den = den * x2 + c
-    out = num / den
+    out = _horner(num_c, x2) / _horner(den_c, x2)
     return float(out) if out.ndim == 0 else out

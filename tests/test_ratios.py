@@ -14,8 +14,8 @@ from meanslab import (
     ParameterError,
     PositivePair,
     SeriesId,
+    constant,
     h_eval,
-    h_function,
     identity_residuals,
     m_to_ch_ratio,
     monotonicity_scan,
@@ -24,6 +24,7 @@ from meanslab import (
 )
 
 LIMITS = {"h1": 1 / 12, "h2": 1 / 2, "h3": 2 / 5}
+LIMITS_EXACT = {"h1": (1, 12), "h2": (1, 2), "h3": (2, 5)}
 
 
 def test_theta_star_value():
@@ -39,13 +40,30 @@ def test_limits_at_zero(which):
     assert h_eval(which, 0.0) == pytest.approx(LIMITS[which], rel=1e-15)
 
 
-@pytest.mark.parametrize("which", ["h1", "h2", "h3"])
-def test_endpoint_values(which):
-    hf = h_function(which)
-    want = oracles.H_FUNCS[which](oracles.theta_star())
+# The unified proof: each sharp constant of Theorems 3.1, 3.3 and 3.4 is
+# the value of h1, h2 or h3 at 0⁺ or at θ* (h1 shifted by -1/2).
+END_VALUES = [
+    ("thm3.1.upper", "h1", True, 0.5),
+    ("thm3.1.lower", "h1", False, 0.5),
+    ("thm3.3.lower", "h2", True, 0.0),
+    ("thm3.3.upper", "h2", False, 0.0),
+    ("thm3.4.upper", "h3", True, 0.0),
+    ("thm3.4.lower", "h3", False, 0.0),
+]
+
+
+@pytest.mark.parametrize("name,which,at_zero,shift", END_VALUES, ids=[e[0] for e in END_VALUES])
+def test_sharp_constants_are_h_end_values(name, which, at_zero, shift):
+    c = constant(name)
     with mp.workdps(40):
-        assert abs(hf.endpoint_value - want) < mp.mpf("1e-35")
-    assert h_eval(which, THETA_STAR) == pytest.approx(float(want), rel=1e-14)
+        if at_zero:
+            num, den = LIMITS_EXACT[which]
+            end = mp.mpf(num) / den
+        else:
+            end = oracles.H_FUNCS[which](oracles.theta_star())
+        assert abs(c.value - (end - shift)) < mp.mpf("1e-35")
+    theta = 0.0 if at_zero else THETA_STAR
+    assert h_eval(which, theta) - shift == pytest.approx(c.float_value, rel=1e-14)
 
 
 def test_h1_endpoint_relates_to_the_ratio_bound():
@@ -58,19 +76,16 @@ def test_h1_endpoint_relates_to_the_ratio_bound():
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
 def test_matches_naive_form_at_moderate_theta(which):
     rng = np.random.default_rng(7)
-    hf = h_function(which)
     for theta in rng.uniform(1e-3, THETA_STAR, 50):
         assert h_eval(which, theta) == pytest.approx(
             float(oracles.H_FUNCS[which](theta)), rel=1e-13
         )
-        # the naive double-precision formula is fine away from zero too
-        assert h_eval(which, theta) == pytest.approx(hf.closed_form(theta), rel=1e-10)
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
 def test_accurate_down_to_tiny_theta(which):
     # straddles the series switch and the cancellation-prone region
-    for theta in (1e-12, 1e-8, 1e-5, 9.99e-4, 1.01e-3, 1e-2, 0.5, 2.0, 5.0):
+    for theta in (1e-12, 1e-8, 1e-5, 9.99e-4, 1.01e-3, 1e-2, 0.5, 1.999, 2.0, 5.0):
         want = float(oracles.H_FUNCS[which](theta))
         assert h_eval(which, theta) == pytest.approx(want, rel=1e-13), theta
 
@@ -85,7 +100,16 @@ def test_h_eval_vectorized_and_validated():
     with pytest.raises(DomainError):
         h_eval("h1", float("nan"))
     with pytest.raises(ParameterError):
-        h_function("h9")
+        h_eval("h9", 0.1)
+
+
+@pytest.mark.parametrize("which", ["h1", "h2", "h3"])
+def test_h_eval_rejects_theta_past_the_overflow_bound(which):
+    # sinh²θ overflows near θ = 355; at 400 the ratios came out as inf or 0
+    for theta in (400.0, 800.0, np.array([0.1, 800.0])):
+        with pytest.raises(DomainError):
+            h_eval(which, theta)
+    assert h_eval(which, 10.0) == pytest.approx(float(oracles.H_FUNCS[which](10.0)), rel=1e-13)
 
 
 def test_substitution_theta():

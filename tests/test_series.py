@@ -130,8 +130,11 @@ def test_truncated_eval_validation():
 
 
 def test_lookup_validation():
+    assert series("h2") is series("H2") is series(SeriesId.H2)
     with pytest.raises(ParameterError):
         series("H9")
+    with pytest.raises(ParameterError):
+        series("h9")
     with pytest.raises(ParameterError):
         coefficient_ratio("H1", -1)
     with pytest.raises(ParameterError):
