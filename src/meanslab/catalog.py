@@ -23,6 +23,7 @@ a pass or a failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -99,9 +100,6 @@ class InequalityRecord:
     upper: SharpConstant | None
     probes: tuple[ProbeSpec, ...] = ()
     margin_fn: Callable = field(default=None, repr=False, compare=False)
-
-    # Every catalog inequality is strict for distinct arguments.
-    strict = True
 
     @property
     def homogeneity_degree(self) -> int | None:
@@ -366,13 +364,15 @@ def _resolve(rec) -> InequalityRecord:
 # verification
 
 
-def _classify(margin: float, scale: float) -> str:
-    threshold = _NOISE_FACTOR * _EPS * scale
-    if margin > threshold:
-        return "ok"
-    if margin < 0.0 and -margin > threshold:
-        return "fail"
-    return "indeterminate"
+_SIDES = ("lower", "upper")
+
+
+def _judge(margins, scales):
+    """Masks of the margins that certify a failure and of those that certify
+    a pass; a margin within the noise threshold is in neither.  Takes arrays,
+    or floats for one pair, where numpy scalars would add per-call cost."""
+    threshold = _NOISE_FACTOR * _EPS * scales
+    return (margins < 0.0) & (-margins > threshold), margins > threshold
 
 
 @dataclass(frozen=True)
@@ -380,10 +380,10 @@ class Margins:
     """Signed margins of one record on one pair, with noise classification."""
 
     record_id: str
-    lower: float | None
-    upper: float | None
-    lower_state: str | None
-    upper_state: str | None
+    lower: float | None = None
+    upper: float | None = None
+    lower_state: str | None = None
+    upper_state: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -407,15 +407,15 @@ def verify(rec, pair: PositivePair) -> Margins:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
     sample = rec.margins(pair.a, pair.b)
-    lower = upper = None
-    lower_state = upper_state = None
-    if sample.lower is not None:
-        lower = float(sample.lower)
-        lower_state = _classify(lower, float(sample.lower_scale))
-    if sample.upper is not None:
-        upper = float(sample.upper)
-        upper_state = _classify(upper, float(sample.upper_scale))
-    return Margins(rec.id, lower, upper, lower_state, upper_state)
+    sides = {}
+    for side in _SIDES:
+        m = getattr(sample, side)
+        if m is not None:
+            m = float(m)
+            fail, ok = _judge(m, float(getattr(sample, side + "_scale")))
+            sides[side] = m
+            sides[side + "_state"] = "fail" if fail else "ok" if ok else "indeterminate"
+    return Margins(rec.id, **sides)
 
 
 @dataclass(frozen=True)
@@ -445,19 +445,6 @@ def _sample_pairs(rec: InequalityRecord, rng: np.random.Generator, count: int):
     return ratio * b, b
 
 
-def _side_aggregate(margins, scales, a, b):
-    m = np.asarray(margins, dtype=np.float64)
-    s = np.asarray(scales, dtype=np.float64)
-    threshold = _NOISE_FACTOR * _EPS * s
-    fail = (m < 0.0) & (-m > threshold)
-    ok = m > threshold
-    indet = ~(fail | ok)
-    ranked = np.where(np.isnan(m), np.inf, m)
-    i = int(ranked.argmin())
-    witness = (float(a[i]), float(b[i]))
-    return float(m[i]), witness, int(fail.sum()), indet
-
-
 def verify_random(rec, count: int, seed: int) -> VerificationReport:
     """Run one record over ``count`` seeded random pairs and aggregate.
 
@@ -472,29 +459,27 @@ def verify_random(rec, count: int, seed: int) -> VerificationReport:
     rng = np.random.default_rng(seed)
     a, b = _sample_pairs(rec, rng, int(count))
     sample = rec.margins(a, b)
+    sides = dict.fromkeys(("min_lower_margin", "lower_witness", "min_upper_margin", "upper_witness"))
     failures = 0
-    min_lower = min_upper = None
-    w_lower = w_upper = None
     indeterminate = np.zeros(int(count), dtype=bool)
-    if sample.lower is not None:
-        min_lower, w_lower, nfail, indet = _side_aggregate(sample.lower, sample.lower_scale, a, b)
-        failures += nfail
-        indeterminate |= indet
-    if sample.upper is not None:
-        min_upper, w_upper, nfail, indet = _side_aggregate(sample.upper, sample.upper_scale, a, b)
-        failures += nfail
-        indeterminate |= indet
+    for side in _SIDES:
+        if getattr(sample, side) is None:
+            continue
+        m = getattr(sample, side)
+        fail, ok = _judge(m, getattr(sample, f"{side}_scale"))
+        i = int(np.where(np.isnan(m), np.inf, m).argmin())
+        sides[f"min_{side}_margin"] = float(m[i])
+        sides[f"{side}_witness"] = (float(a[i]), float(b[i]))
+        failures += int(fail.sum())
+        indeterminate |= ~(fail | ok)
     return VerificationReport(
         record_id=rec.id,
         samples=int(count),
         seed=int(seed),
-        min_lower_margin=min_lower,
-        lower_witness=w_lower,
-        min_upper_margin=min_upper,
-        upper_witness=w_upper,
         failures=failures,
         indeterminate=int(indeterminate.sum()),
         passed=failures == 0,
+        **sides,
     )
 
 
@@ -525,35 +510,29 @@ def sharpness_probe(rec, epsilon: float = 1e-6) -> tuple[ProbeResult, ...]:
     inequality; the probe then walks geometrically toward the endpoint
     where the constant is attained (ratios 1 + 2^-k for the near end,
     2^k for the far end, k = 1..64) and reports the first pair whose
-    tightened margin is negative beyond the noise threshold.
+    tightened margin is negative beyond the noise threshold.  All steps
+    are evaluated in one batch; the near-end ratios that round to 1
+    (k >= 53) are left out, since an equal pair has no margin to test.
     """
     rec = _resolve(rec)
     if not (epsilon > 0.0):
         raise ParameterError("epsilon must be positive")
+    if epsilon == math.inf:
+        raise ParameterError("epsilon must be finite")
     if not rec.probes:
         raise ParameterError(f"record {rec.id!r} has no sharp constants to probe")
+    steps = np.arange(1, _PROBE_STEPS + 1)
     results = []
     for spec in rec.probes:
-        const = rec.lower if spec.side == "lower" else rec.upper
+        const = getattr(rec, spec.side)
         tightened = const.float_value + spec.tighten * epsilon
-        found = False
-        witness = None
-        margin_at = None
-        steps = _PROBE_STEPS
-        for k in range(1, _PROBE_STEPS + 1):
-            ratio = 1.0 + 2.0 ** (-k) if spec.endpoint == "near" else 2.0 ** k
-            if ratio == 1.0:
-                continue
-            overrides = {"lower_c": tightened} if spec.side == "lower" else {"upper_c": tightened}
-            sample = rec.margins(ratio, 1.0, **overrides)
-            m = sample.lower if spec.side == "lower" else sample.upper
-            s = sample.lower_scale if spec.side == "lower" else sample.upper_scale
-            if _classify(float(m), float(s)) == "fail":
-                found = True
-                witness = (ratio, 1.0)
-                margin_at = float(m)
-                steps = k
-                break
+        ratios = 1.0 + np.ldexp(1.0, -steps) if spec.endpoint == "near" else np.ldexp(1.0, steps)
+        distinct = ratios > 1.0
+        ratios, k = ratios[distinct], steps[distinct]
+        sample = rec.margins(ratios, np.ones_like(ratios), **{f"{spec.side}_c": tightened})
+        m = getattr(sample, spec.side)
+        fail, _ = _judge(m, getattr(sample, f"{spec.side}_scale"))
+        hit = int(fail.argmax()) if fail.any() else None
         results.append(
             ProbeResult(
                 record_id=rec.id,
@@ -562,10 +541,10 @@ def sharpness_probe(rec, epsilon: float = 1e-6) -> tuple[ProbeResult, ...]:
                 endpoint=spec.endpoint,
                 epsilon=epsilon,
                 tightened=tightened,
-                found=found,
-                witness=witness,
-                steps=steps,
-                margin=margin_at,
+                found=hit is not None,
+                witness=None if hit is None else (float(ratios[hit]), 1.0),
+                steps=_PROBE_STEPS if hit is None else int(k[hit]),
+                margin=None if hit is None else float(m[hit]),
             )
         )
     return tuple(results)

@@ -216,12 +216,19 @@ def generalized_logarithmic(p, a, b):
 
     The general branch works on the reduced variable d = (hi - lo)/lo, with
     z = (p+1)·log1p(d); when z is large enough to overflow expm1 it moves to
-    log space.  Equal arguments return the common value for every p.
+    log space.  Pairs with hi/lo > 1e300, where d or its products overflow,
+    are evaluated from logarithms instead (``_glog_far``).  Equal arguments
+    return the common value for every p.
     """
     p = float(p)
     if not math.isfinite(p):
         raise ParameterError("order p must be finite")
     hi, lo = _canon(a, b)
+    far = hi * 1e-300 > lo
+    if far.any():
+        # each lane set gets neutral inputs where the final where() drops its result
+        rest = generalized_logarithmic(p, np.where(far, 1.0, hi), np.where(far, 1.0, lo))
+        return _ret(np.where(far, _glog_far(p, np.where(far, hi, 2.0), np.where(far, lo, 1.0)), rest))
     d = (hi - lo) / lo
     dd = np.where(d == 0.0, 1.0, d)
 
@@ -249,6 +256,23 @@ def generalized_logarithmic(p, a, b):
     overflowing = np.exp(np.where(big, log_ratio, 0.0) / p)
     quotient = np.where(d == 0.0, 1.0, np.where(big, overflowing, plain))
     return _ret(lo * quotient)
+
+
+def _glog_far(p, hi, lo):
+    # L_p from log hi, log lo and log(hi - lo), for hi/lo too large to form.
+    log_lo = np.log(lo)
+    ell = np.log(hi) - log_lo
+    if abs(p) < TAU_P:
+        # log I = log hi - 1 + lo·ln(hi/lo)/(hi - lo)
+        return hi * np.exp(lo * ell / (hi - lo) - 1.0)
+    if abs(p + 1.0) < TAU_P:
+        return (hi - lo) / ell
+    # L_p = lo·[(X^(p+1) - 1)/((p+1)(X - 1))]^(1/p) with X = hi/lo, where
+    # log|X^(p+1) - 1| = max(z, 0) + log1p(-exp(-|z|)) for z = (p+1)·ln X.
+    z = (p + 1.0) * ell
+    log_gap = np.maximum(z, 0.0) + np.log1p(-np.exp(-np.abs(z)))
+    log_quotient = log_gap - math.log(abs(p + 1.0)) - (np.log(hi - lo) - log_lo)
+    return np.exp(log_lo + log_quotient / p)
 
 
 def ch_difference(a, b):

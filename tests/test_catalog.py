@@ -19,6 +19,7 @@ from meanslab import (
     verify,
     verify_random,
 )
+from meanslab.catalog import RecordSpec, build_record
 from meanslab.means import arithmetic, centroidal, ch_difference, contraharmonic, harmonic
 
 EXPECTED_IDS = {
@@ -35,7 +36,6 @@ def test_catalog_contents():
     for r in recs:
         assert r.statement
         assert r.kind in ("core-result", "prior-result", "classical-ordering")
-        assert r.strict
     with pytest.raises(ParameterError):
         record("thm9.9")
 
@@ -109,11 +109,23 @@ def test_verify_random_is_deterministic():
 
 
 def test_verify_random_single_sample_matches_verify():
-    for rec_id in ("thm3.1", "neuman-QA", "chain", "lp0-l2"):
-        rep = verify_random(rec_id, 1, seed=3)
+    # two made-up chains: A < G fails on every pair, and M < M never clears the noise
+    false_chain = build_record(RecordSpec("false-ag", "classical-ordering", "chain", "A G"))
+    noise_chain = build_record(RecordSpec("noise-mm", "classical-ordering", "chain", "M M"))
+    for rec in ("thm3.1", "neuman-QA", "chain", "lp0-l2", "thm3.2", false_chain, noise_chain):
+        rep = verify_random(rec, 1, seed=3)
         pair = PositivePair(*rep.lower_witness)
-        m = verify(rec_id, pair)
-        assert m.lower == rep.min_lower_margin  # bitwise: same code path
+        assert rep.upper_witness in (None, rep.lower_witness)
+        m = verify(rec, pair)
+        # bitwise: the scalar and the batch verdicts share one noise rule
+        assert m.lower == rep.min_lower_margin
+        assert m.upper == rep.min_upper_margin
+        states = (m.lower_state, m.upper_state)
+        assert rep.failures == states.count("fail")
+        assert rep.indeterminate == int("indeterminate" in states)
+        assert rep.passed == m.passed
+    assert verify(false_chain, PositivePair(3.0, 1.0)).lower_state == "fail"
+    assert verify(noise_chain, PositivePair(3.0, 1.0)).lower_state == "indeterminate"
 
 
 def test_verify_random_validation():
@@ -202,6 +214,29 @@ def test_every_sharp_constant_probe_finds_a_witness():
             assert float(got) == result.margin
 
 
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_probe_reports_the_first_failing_step(epsilon):
+    # the batched probe must return the witness a step-by-step walk finds first
+    for rec in catalog():
+        if not rec.probes:
+            continue
+        for result in sharpness_probe(rec, epsilon):
+            if not result.found:
+                continue
+            ratio = result.witness[0]
+            assert ratio > 1.0
+            k = result.steps
+            assert ratio == (1.0 + 2.0 ** -k if result.endpoint == "near" else 2.0 ** k)
+            if k == 1:
+                continue
+            before = 1.0 + 2.0 ** (1 - k) if result.endpoint == "near" else 2.0 ** (k - 1)
+            overrides = {f"{result.side}_c": result.tightened}
+            sample = rec.margins(before, 1.0, **overrides)
+            m = float(getattr(sample, result.side))
+            noise = 100 * np.finfo(np.float64).eps * float(getattr(sample, f"{result.side}_scale"))
+            assert not (m < 0.0 and -m > noise), (result.constant_name, k)
+
+
 def test_probe_witnesses_sit_at_the_right_endpoints():
     by_name = {
         r.constant_name: r for r in sharpness_probe(record("thm3.1"), 1e-6)
@@ -229,6 +264,10 @@ def test_probe_validation():
         sharpness_probe("thm3.1", 0.0)
     with pytest.raises(ParameterError):
         sharpness_probe("thm3.1", -1e-6)
+    with pytest.raises(ParameterError):
+        sharpness_probe("thm3.1", float("inf"))
+    with pytest.raises(ParameterError):
+        sharpness_probe("thm3.1", float("nan"))
 
 
 def test_probe_does_not_disturb_the_record():

@@ -13,8 +13,7 @@ import pytest
 import meanslab
 import meanslab.cli as cli
 from meanslab.catalog import RecordSpec, build_record
-from meanslab.cli import RunConfig, run
-from meanslab.errors import ParameterError
+from meanslab.cli import run
 
 
 @pytest.fixture(autouse=True)
@@ -160,12 +159,12 @@ def test_unwritable_output_is_an_io_error_exit_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
 
 
-def test_seed_env_var_is_the_default(capsys, monkeypatch):
-    monkeypatch.setenv("MEANSLAB_SEED", "7")
-    _, out = run_cli(capsys, "verify", "--record", "chain", "--samples", "50",
-                     "--format", "json-lines")
-    assert json.loads(out)["inputs"]["seed"] == 7
-    # an explicit flag still wins
+def test_defaults_and_an_explicit_seed(capsys):
+    _, out = run_cli(capsys, "verify", "--record", "chain", "--format", "json-lines")
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["seed"], inputs["samples"]) == (42, 100_000)
+    _, out = run_cli(capsys, "series-check", "--format", "json-lines")
+    assert {json.loads(line)["inputs"]["depth"] for line in out.splitlines()} == {200}
     _, out = run_cli(capsys, "verify", "--record", "chain", "--samples", "50",
                      "--seed", "3", "--format", "json-lines")
     assert json.loads(out)["inputs"]["seed"] == 3
@@ -176,10 +175,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(["eval", "--mean", "bogus", "--a", "1", "--b", "2"]) == 2
     assert run(["eval", "--mean", "arithmetic", "--a", "-1", "--b", "2"]) == 2
     assert run(["verify-all", "--samples", "0"]) == 2
+    assert run(["series-check", "--depth", "0"]) == 2
+    assert run(["verify-all", "--format", "yaml"]) == 2
     assert run(["verify", "--record", "no-such-record"]) == 2
     assert run(["verify", "--record", "thm3.1", "--a", "3"]) == 2
     assert run(["sharpness", "--record", "chain"]) == 2
     assert run(["sharpness", "--record", "thm3.1", "--epsilon", "-1"]) == 2
+    assert run(["sharpness", "--record", "thm3.1", "--epsilon", "inf"]) == 2
     assert run(["verify", "--record", "kyfan", "--a", "0.7", "--b", "0.2"]) == 2
     assert run([]) == 2
 
@@ -200,19 +202,6 @@ def test_sharpness_command(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert {r["id"] for r in rows} == {"thm3.4:thm3.4.lower", "thm3.4:thm3.4.upper"}
     assert all(r["pass"] for r in rows)
-
-
-def test_run_config_validation():
-    with pytest.raises(ParameterError):
-        RunConfig(command="nonsense")
-    with pytest.raises(ParameterError):
-        RunConfig(command="eval", samples=0)
-    with pytest.raises(ParameterError):
-        RunConfig(command="eval", depth=0)
-    with pytest.raises(ParameterError):
-        RunConfig(command="eval", output_format="yaml")
-    cfg = RunConfig(command="eval")
-    assert (cfg.seed, cfg.samples, cfg.depth) == (42, 100_000, 200)
 
 
 def test_console_entry_point_runs_in_a_subprocess(tmp_path):

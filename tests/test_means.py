@@ -203,6 +203,25 @@ def test_glog_just_outside_limit_windows_matches_oracle():
         assert mine == pytest.approx(ref, rel=1e-7), p
 
 
+P0 = 1.8435205184311405  # lp0-l2.lower, the critical exponent
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, 2.0, 0.5, -0.5, -2.0, -3.0, P0])
+def test_glog_at_extreme_finite_ratios_matches_oracle(p):
+    # hi/lo > 1e300: the reduced variable d = (hi - lo)/lo, or (1 + d)·log1p(d),
+    # or (p + 1)·d overflows there, so these pairs take the log-space lane
+    pairs = [(1e306, 1.0), (1e308, 1.0), (1e300, 1e-300), (1e-300, 1e300)]
+    for a, b in pairs:
+        mine = generalized_logarithmic(p, a, b)
+        assert mine == pytest.approx(float(oracles.glog(p, a, b)), rel=1e-12), (a, b)
+        assert min(a, b) <= mine <= max(a, b), (a, b)
+    # a batch mixing both lanes gives each lane its scalar value
+    a = np.array([a for a, _ in pairs] + [3.0])
+    b = np.array([b for _, b in pairs] + [1.0])
+    batch = generalized_logarithmic(p, a, b)
+    assert batch.tolist() == [generalized_logarithmic(p, x, y) for x, y in zip(a, b)]
+
+
 def test_glog_nondecreasing_in_p():
     ps = [-5.0, -2.0, -1.0 - 1e-7, -1.0, -0.5, -1e-8, 0.0, 0.5, 1.0, 2.0, 5.0]
     values = [generalized_logarithmic(p, 7.0, 1.0) for p in ps]
