@@ -59,11 +59,7 @@ from .series import (
     DifferenceReport,
     LemmaSeries,
     SeriesId,
-    coefficient_ratio,
-    consecutive_difference,
     difference_sign_check,
-    series,
-    truncated_series_eval,
 )
 
 __version__ = "0.1.0"
@@ -93,8 +89,6 @@ __all__ = [
     "catalog",
     "centroidal",
     "ch_difference",
-    "coefficient_ratio",
-    "consecutive_difference",
     "constant",
     "contraharmonic",
     "difference_sign_check",
@@ -113,12 +107,10 @@ __all__ = [
     "record",
     "root_square",
     "second_seiffert",
-    "series",
     "sharp_constants",
     "sharpness_probe",
     "solve_p0",
     "substitution_theta",
-    "truncated_series_eval",
     "verify",
     "verify_random",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success (all checks passed), 1 when a verification
-produced a certified failure, 2 on usage, domain or I/O errors.
+produced a certified failure, 2 on usage, domain or I/O errors, and 3 when
+the result is inconclusive (a sharpness probe found no witness).
 """
 
 from __future__ import annotations
@@ -10,14 +11,13 @@ import argparse
 import sys
 
 import mpmath as mp
-import numpy as np
 
 from . import reporting
 from .catalog import catalog, record, sharpness_probe, verify, verify_random
 from .constants import sharp_constants
 from .errors import BracketError, DomainError, NotApplicableError, ParameterError
 from .means import PositivePair, parse
-from .ratios import THETA_STAR, h_eval, solve_p0
+from .ratios import solve_p0
 from .series import SeriesId, difference_sign_check
 
 
@@ -56,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         "series-check", parents=[common], help="sign-check coefficient differences"
     )
 
-    p = sub.add_parser("scan", parents=[common], help="tabulate one h function")
-    p.add_argument("--h", type=int, choices=(1, 2, 3), required=True)
-
     p = sub.add_parser("sharpness", parents=[common], help="probe sharp constants")
     p.add_argument("--record", default=None, help="restrict to one record id")
     p.add_argument("--epsilon", type=float, default=1e-6)
@@ -69,8 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each command takes the parsed arguments and returns its report rows and
-# whether every check in them passed.
+# Each command takes the parsed arguments and returns its report rows and a
+# verdict: True when every check passed, False for a certified failure and
+# None when the result is inconclusive.
+_EXIT_CODES = {True: 0, False: 1, None: 3}
 
 
 def _cmd_eval(args):
@@ -97,13 +96,6 @@ def _cmd_series_check(args):
     return [reporting.series_row(rep) for rep in reports], all(rep.passed for rep in reports)
 
 
-def _cmd_scan(args):
-    label = f"h{args.h}"
-    thetas = np.linspace(THETA_STAR / args.samples, THETA_STAR, args.samples)
-    values = h_eval(label, thetas)
-    return [reporting.scan_row(label, float(t), float(v)) for t, v in zip(thetas, values)], True
-
-
 def _cmd_verify(args):
     rec = record(args.record)
     if (args.a is None) != (args.b is None):
@@ -125,7 +117,8 @@ def _cmd_sharpness(args):
     results = [r for rec in records if rec.probes for r in sharpness_probe(rec, args.epsilon)]
     if not results:
         raise ParameterError(f"record {args.record!r} declares no sharp constants")
-    return [reporting.probe_row(r) for r in results], all(r.found for r in results)
+    # a probe without a witness shows no inequality false: inconclusive
+    return [reporting.probe_row(r) for r in results], all(r.found for r in results) or None
 
 
 _DISPATCH = {
@@ -133,7 +126,6 @@ _DISPATCH = {
     "verify-all": _cmd_verify_all,
     "verify": _cmd_verify,
     "series-check": _cmd_series_check,
-    "scan": _cmd_scan,
     "sharpness": _cmd_sharpness,
     "p0": _cmd_p0,
     "constants": _cmd_constants,
@@ -151,12 +143,12 @@ def run(argv: list[str] | None = None) -> int:
             raise ParameterError("samples must be at least 1")
         if args.depth < 1:
             raise ParameterError("depth must be at least 1")
-        rows, passed = _DISPATCH[args.command](args)
+        rows, verdict = _DISPATCH[args.command](args)
         reporting.emit(reporting.render(rows, args.output_format), args.output_path)
     except (ParameterError, DomainError, NotApplicableError, BracketError, ValueError, OSError) as exc:
         print(f"meanslab: {exc}", file=sys.stderr)
         return 2
-    return 0 if passed else 1
+    return _EXIT_CODES[verdict]
 
 
 def main() -> None:

@@ -12,9 +12,9 @@ Pairs of positive reals only ever produce θ in (0, θ*) with
 θ* = ln(1 + √2) — that is asinh(1), the image of t → 1 — so the function
 values at 0⁺ and θ* are exactly the sharp constants of the inequality
 catalog.  This module evaluates the ratios accurately over the whole range
-(series near 0, cancellation-safe numerator/denominator lanes elsewhere),
-checks the substitution identities numerically, scans monotonicity, and
-solves the scalar root equation for the exponent p0.
+(the quotient of their power series below θ = 2, the closed form from
+there on), checks the substitution identities numerically, scans
+monotonicity, and solves the scalar root equation for the exponent p0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BracketError, DegeneratePairError, DomainError, ParameterError
 from .means import PositivePair
-from .series import SeriesId, _horner, coefficient_floats, series, truncated_series_eval
+from .series import SeriesId, _horner, coefficient_floats, series
 
 __all__ = [
     "TAU_H",
@@ -46,7 +46,9 @@ __all__ = [
 # that actual pairs can reach.
 THETA_STAR = math.log(1.0 + math.sqrt(2.0))
 
-# Below this θ the ratios come from their truncated power series.
+# Not used by this package: the benchmark imports it to split its h_eval
+# θ grids into a near-zero and a wider band, and keeps it until the
+# benchmark is next changed.
 TAU_H = 1e-3
 
 # Largest θ that h_eval accepts.  Pairs only reach θ* and monotonicity_scan
@@ -54,77 +56,45 @@ TAU_H = 1e-3
 # into inf, 0 or NaN; the bound stays well below that.
 _THETA_MAX = 300.0
 
-# The numerators/denominators of h1-h3 are differences of near-equal terms for
-# small θ; below this cutoff they are evaluated from their own series so the
-# assembled closed form stays accurate to a few ulp over the whole range.
-# (At the cutoff the direct subtractions lose less than one bit.)
-_KERNEL_CUT = 2.0
-_KERNEL_DEPTH = 18
+# Both sides of h1-h3 are differences of near-equal terms for small θ, so
+# below this cut each h is the quotient of its two power series (the common
+# θ^k factor cancels, so nothing underflows even at θ = 1e-300).  At the
+# cut the direct subtractions lose less than one bit, and 18 terms leave a
+# tail far below an ulp.
+_SERIES_CUT = 2.0
+_SERIES_DEPTH = 18
 
 
-def _lane(th, series_id: SeriesId, side: int, direct):
-    """One side (0 numerator, 1 denominator) of a ratio, safe against cancellation.
-
-    Below ``_KERNEL_CUT`` it is that side's power series times θ^power_offset;
-    elsewhere it is ``direct(θ)``.
-    """
-    small = th < _KERNEL_CUT
-    ts = np.where(small, th, 0.0)
-    s = series(series_id)
-    ser = _horner(coefficient_floats(s.id, _KERNEL_DEPTH)[side], ts * ts)
-    for _ in range(s.power_offset):  # factor by factor: ts ** power rounds differently
-        ser *= ts
-    tb = np.where(small, 1.0, th)
-    return np.where(small, ser, direct(tb))
-
-
-def _cosh_sinhc_gap(x):
-    """cosh θ - sinh θ/θ: h2's denominator and h3's numerator."""
-    return np.cosh(x) - np.sinh(x) / x
-
-
-def _h1(th):
-    s = np.sinh(th)
-    return _lane(th, SeriesId.H1, 0, lambda x: np.sinh(x) - x) / (2.0 * th * s * s)
-
-
-def _h2(th):
-    def num(x):
-        s = np.sinh(x)
-        return 1.0 - s / x + s * s / 3.0
-
-    return _lane(th, SeriesId.H2, 0, num) / _lane(th, SeriesId.H2, 1, _cosh_sinhc_gap)
-
-
-def _h3(th):
-    def den(x):
-        s = np.sinh(x)
-        return 1.0 + s * s - s / x
-
-    return _lane(th, SeriesId.H3, 0, _cosh_sinhc_gap) / _lane(th, SeriesId.H3, 1, den)
-
-
-_SAFE_FORMS = {SeriesId.H1: _h1, SeriesId.H2: _h2, SeriesId.H3: _h3}
+def _closed_form(sid: SeriesId, th):
+    """h at θ >= _SERIES_CUT from sinh and cosh, where nothing cancels badly."""
+    s, c = np.sinh(th), np.cosh(th)
+    sc = s / th
+    if sid is SeriesId.H1:
+        return (s - th) / (2.0 * th * s * s)
+    if sid is SeriesId.H2:
+        return (1.0 - sc + s * s / 3.0) / (c - sc)
+    return (c - sc) / (1.0 + s * s - sc)
 
 
 def h_eval(which, theta):
     """Evaluate one of the ratio functions at 0 <= θ <= 300 (scalar or array).
 
-    ``which`` is a SeriesId or a name such as 'h2'.  θ below ``TAU_H`` goes
-    through the truncated series (which also covers the continuous extension
-    h(0) = limit_at_zero); everything else goes through the
-    cancellation-safe closed form.
+    ``which`` is a SeriesId or a name such as 'h2'.  Below θ = 2 the value
+    is the quotient of the function's numerator and denominator power
+    series (which also covers h(0) = limit_at_zero); from θ = 2 on it is
+    the closed form.
     """
     sid = series(which).id
     th = np.asarray(theta, dtype=np.float64)
     # the comparisons are False for NaN, so this also rejects non-finite θ
     if not ((th >= 0.0) & (th <= _THETA_MAX)).all():
         raise DomainError(f"h functions are evaluated for 0 <= θ <= {_THETA_MAX:g}")
-    small = th < TAU_H
-    ts = np.where(small, th, 0.5 * TAU_H)
-    from_series = truncated_series_eval(sid, ts, depth=8)
-    tb = np.where(small, 1.0, th)
-    from_closed = _SAFE_FORMS[sid](tb)
+    small = th < _SERIES_CUT
+    ts = np.where(small, th, 0.0)
+    x2 = ts * ts
+    num, den = coefficient_floats(sid, _SERIES_DEPTH)
+    from_series = _horner(num, x2) / _horner(den, x2)
+    from_closed = _closed_form(sid, np.where(small, _SERIES_CUT, th))
     out = np.where(small, from_series, from_closed)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -31,7 +31,6 @@ __all__ = [
     "p0_row",
     "render",
     "report_row",
-    "scan_row",
     "series_row",
 ]
 
@@ -111,10 +110,6 @@ def series_row(rep: DifferenceReport) -> dict:
     )
 
 
-def scan_row(label: str, theta: float, value: float) -> dict:
-    return _row(label, "scan", {"theta": theta}, {"h": value}, None, None)
-
-
 def constant_row(c: SharpConstant, digits: int = 30) -> dict:
     value = mp.nstr(c.value, digits)
     values = {"expr": c.text, "value": value, "context": c.context}
@@ -192,8 +187,6 @@ def _human_line(row: dict) -> str:
         if v["first_failure"] is not None:
             line += f"  first_failure={v['first_failure']}"
         return line
-    if kind == "scan":
-        return f"{format_float(row['inputs']['theta'])}\t{format_float(v['h'])}"
     return json.dumps(row)
 
 

@@ -6,9 +6,12 @@ closed form.  This module owns those coefficients as exact rationals
 (:class:`fractions.Fraction`), the closed forms of the coefficient ratios
 c_n = a_n/b_n, and the closed forms of the consecutive differences
 c_{n+1} - c_n, whose constant sign is what makes the quotients monotone.
+:func:`difference_sign_check` is the one exact check of both closed forms
+against the coefficients.
 
-Everything here is exact integer arithmetic; the only floating point is the
-truncated evaluator at the bottom, which the fast numeric path shares.
+Everything here is exact integer arithmetic; the only floating point is
+:func:`coefficient_floats` and the Horner sum at the bottom, which
+:func:`meanslab.ratios.h_eval` uses below θ = 2.
 """
 
 from __future__ import annotations
@@ -22,17 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "SeriesId",
     "LemmaSeries",
     "DifferenceReport",
     "series",
-    "coefficient_ratio",
-    "consecutive_difference",
     "difference_sign_check",
-    "truncated_series_eval",
     "coefficient_floats",
 ]
 
@@ -43,19 +43,15 @@ class SeriesId(enum.Enum):
     H3 = "H3"
 
 
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
 # ---- H1: (sinh θ - θ) / (2θ sinh²θ); both sides carry a common θ³ factor
 
 
 def _h1_num(n: int) -> Fraction:
-    return Fraction(1, _fact(2 * n + 3))
+    return Fraction(1, math.factorial(2 * n + 3))
 
 
 def _h1_den(n: int) -> Fraction:
-    return Fraction(2 ** (2 * n + 2), _fact(2 * n + 2))
+    return Fraction(2 ** (2 * n + 2), math.factorial(2 * n + 2))
 
 
 def _h1_ratio(n: int) -> Fraction:
@@ -70,11 +66,11 @@ def _h1_diff(n: int) -> Fraction:
 
 
 def _h2_num(n: int) -> Fraction:
-    return Fraction((2 * n + 3) * 2 ** (2 * n + 2) - 6, 6 * _fact(2 * n + 3))
+    return Fraction((2 * n + 3) * 2 ** (2 * n + 2) - 6, 6 * math.factorial(2 * n + 3))
 
 
 def _h2_den(n: int) -> Fraction:
-    return Fraction(2 * n + 2, _fact(2 * n + 3))
+    return Fraction(2 * n + 2, math.factorial(2 * n + 3))
 
 
 def _h2_ratio(n: int) -> Fraction:
@@ -91,7 +87,7 @@ def _h2_diff(n: int) -> Fraction:
 
 
 def _h3_den(n: int) -> Fraction:
-    return Fraction((2 * n + 3) * 2 ** (2 * n + 1) - 1, _fact(2 * n + 3))
+    return Fraction((2 * n + 3) * 2 ** (2 * n + 1) - 1, math.factorial(2 * n + 3))
 
 
 def _h3_ratio(n: int) -> Fraction:
@@ -110,9 +106,8 @@ def _h3_diff(n: int) -> Fraction:
 class LemmaSeries:
     """One numerator/denominator coefficient pair with its exact ratio data.
 
-    ``power_offset`` is the power of the expansion variable carried by the
-    n = 0 term of the raw sums; it is common to numerator and denominator,
-    so it cancels from the ratio and from everything checked here.
+    The coefficients are those of both sides divided by their common
+    leading power of θ, so Σ a_n θ^(2n) / Σ b_n θ^(2n) is h itself.
     ``expected_monotonicity`` is the direction the exact coefficient ratios
     c_n move in — which, coefficientwise, is what drives the quotient
     function itself up or down.  This is the one record of h1, h2 and h3:
@@ -120,7 +115,6 @@ class LemmaSeries:
     """
 
     id: SeriesId
-    power_offset: int
     numerator_coeff: Callable[[int], Fraction]
     denominator_coeff: Callable[[int], Fraction]
     ratio_closed: Callable[[int], Fraction]
@@ -134,9 +128,9 @@ class LemmaSeries:
 
 
 _REGISTRY = {
-    SeriesId.H1: LemmaSeries(SeriesId.H1, 3, _h1_num, _h1_den, _h1_ratio, _h1_diff, "decreasing"),
-    SeriesId.H2: LemmaSeries(SeriesId.H2, 2, _h2_num, _h2_den, _h2_ratio, _h2_diff, "increasing"),
-    SeriesId.H3: LemmaSeries(SeriesId.H3, 2, _h2_den, _h3_den, _h3_ratio, _h3_diff, "decreasing"),
+    SeriesId.H1: LemmaSeries(SeriesId.H1, _h1_num, _h1_den, _h1_ratio, _h1_diff, "decreasing"),
+    SeriesId.H2: LemmaSeries(SeriesId.H2, _h2_num, _h2_den, _h2_ratio, _h2_diff, "increasing"),
+    SeriesId.H3: LemmaSeries(SeriesId.H3, _h2_den, _h3_den, _h3_ratio, _h3_diff, "decreasing"),
 }
 
 
@@ -150,42 +144,14 @@ def series(series_id: SeriesId | str) -> LemmaSeries:
         raise ParameterError(f"unknown series id {series_id!r}") from None
 
 
-def coefficient_ratio(series_id: SeriesId | str, n: int) -> Fraction:
-    """c_n = a_n/b_n, computed both from the coefficients and from the
-    simplified closed form; the two exact routes must agree."""
-    if n < 0:
-        raise ParameterError("coefficient index must be >= 0")
-    s = series(series_id)
-    from_coeffs = s.numerator_coeff(n) / s.denominator_coeff(n)
-    from_closed = s.ratio_closed(n)
-    if from_coeffs != from_closed:
-        raise ArithmeticError(
-            f"{s.id.value}: ratio mismatch at n={n}: {from_coeffs} vs {from_closed}"
-        )
-    return from_closed
-
-
-def consecutive_difference(series_id: SeriesId | str, n: int) -> Fraction:
-    """c_{n+1} - c_n, again via two independent exact routes that must agree."""
-    if n < 0:
-        raise ParameterError("coefficient index must be >= 0")
-    s = series(series_id)
-    direct = coefficient_ratio(series_id, n + 1) - coefficient_ratio(series_id, n)
-    closed = s.difference_closed(n)
-    if direct != closed:
-        raise ArithmeticError(
-            f"{s.id.value}: difference mismatch at n={n}: {direct} vs {closed}"
-        )
-    return closed
-
-
 @dataclass(frozen=True)
 class DifferenceReport:
     """Outcome of checking the signs of c_{n+1} - c_n for n < depth.
 
-    ``first_failure`` is the smallest n at which either the sign disagrees
-    with the expected direction or the directly computed difference does not
-    equal its closed form; None when every index checks out.
+    ``first_failure`` is the smallest n at which the sign disagrees with the
+    expected direction, the coefficient quotient a_n/b_n does not equal
+    ``ratio_closed(n)``, or the directly computed difference does not equal
+    ``difference_closed(n)``; None when every index checks out.
     """
 
     series_id: SeriesId
@@ -199,9 +165,11 @@ class DifferenceReport:
 def difference_sign_check(series_id: SeriesId | str, depth: int = 200) -> DifferenceReport:
     """Check, exactly, that the coefficient-ratio differences keep one sign.
 
-    A mismatch is reported in the verdict rather than raised: the point of
-    the check is to produce a record of how far the monotonicity pattern
-    was verified.
+    Along the way both closed forms are compared with the coefficients, so
+    this is also the check that ``ratio_closed`` and ``difference_closed``
+    are right below ``depth``.  A mismatch is reported in the verdict
+    rather than raised: the point of the check is to produce a record of
+    how far the monotonicity pattern was verified.
     """
     if depth < 1:
         raise ParameterError("depth must be >= 1")
@@ -213,7 +181,7 @@ def difference_sign_check(series_id: SeriesId | str, depth: int = 200) -> Differ
         closed = s.difference_closed(n)
         direct = ratios[n + 1] - ratios[n]
         sign_ok = closed != 0 and (closed < 0) == want_negative
-        if direct != closed or not sign_ok:
+        if ratios[n] != s.ratio_closed(n) or direct != closed or not sign_ok:
             first_failure = n
             break
     return DifferenceReport(
@@ -245,24 +213,3 @@ def _horner(coeffs: np.ndarray, x2):
     for c in coeffs[::-1]:
         acc = acc * x2 + c
     return acc
-
-
-def truncated_series_eval(series_id: SeriesId | str, x, depth: int):
-    """Evaluate the quotient of the two depth-term partial sums at ``x``.
-
-    Both partial sums run over powers x^(2n) — the common offset factor has
-    already cancelled — so the result approximates the lemma quotient
-    itself and tends to ``limit_at_zero`` as x → 0.  Requires 0 <= x < 1
-    (callers only need the unit interval, where the geometric tail bound
-    is stated) and depth >= 2 so at least one non-constant term is kept.
-    Accepts a scalar or an array.
-    """
-    if depth < 2:
-        raise ParameterError("depth must be >= 2")
-    x = np.asarray(x, dtype=np.float64)
-    if not (np.isfinite(x).all() and (x >= 0.0).all() and (x < 1.0).all()):
-        raise DomainError("series evaluation needs 0 <= x < 1")
-    num_c, den_c = coefficient_floats(series_id, depth)
-    x2 = x * x
-    out = _horner(num_c, x2) / _horner(den_c, x2)
-    return float(out) if out.ndim == 0 else out

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import oracles
+import hp_oracles
 import meanslab.constants as constants_mod
 from meanslab import (
     PositivePair,

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import oracles
+import hp_oracles
 from meanslab import (
     DegeneratePairError,
     NotApplicableError,

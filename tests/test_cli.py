@@ -75,17 +75,6 @@ def test_series_check_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_scan_rows(capsys):
-    code, out = run_cli(capsys, "scan", "--h", "2", "--samples", "7")
-    assert code == 0
-    rows = [line.split("\t") for line in out.strip().splitlines()]
-    assert len(rows) == 7
-    thetas = [float(r[0]) for r in rows]
-    values = [float(r[1]) for r in rows]
-    assert thetas == sorted(thetas)
-    assert values == sorted(values)  # h2 increases
-
-
 def test_verify_single_record_with_pair(capsys):
     code, out = run_cli(
         capsys, "verify", "--record", "thm3.1", "--a", "3", "--b", "1",
@@ -172,6 +161,7 @@ def test_defaults_and_an_explicit_seed(capsys):
 
 def test_usage_errors_exit_2(capsys):
     assert run(["frobnicate"]) == 2
+    assert run(["scan", "--h", "2", "--samples", "7"]) == 2
     assert run(["eval", "--mean", "bogus", "--a", "1", "--b", "2"]) == 2
     assert run(["eval", "--mean", "arithmetic", "--a", "-1", "--b", "2"]) == 2
     assert run(["verify-all", "--samples", "0"]) == 2
@@ -202,6 +192,17 @@ def test_sharpness_command(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert {r["id"] for r in rows} == {"thm3.4:thm3.4.lower", "thm3.4:thm3.4.upper"}
     assert all(r["pass"] for r in rows)
+
+
+def test_sharpness_without_a_witness_is_inconclusive(capsys):
+    # at ε = 1e-9 the near-end probes of thm3.1 cannot clear the noise
+    # threshold: no witness is not a counterexample, so exit 3, not 1
+    code, out = run_cli(capsys, "sharpness", "--record", "thm3.1", "--epsilon", "1e-9")
+    assert code == 3
+    assert "NO-WITNESS thm3.1:" in out
+    code, out = run_cli(capsys, "sharpness", "--record", "thm3.1", "--epsilon", "1e-6")
+    assert code == 0
+    assert out.count("SHARP thm3.1:") == 2
 
 
 def test_console_entry_point_runs_in_a_subprocess(tmp_path):

@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-import oracles
+import hp_oracles
 from meanslab import ParameterError, constant, sharp_constants, solve_p0
 
 # 4-digit decimal prefixes as printed in the source results
@@ -47,7 +47,7 @@ def test_decimal_prefixes():
 
 
 def test_values_match_independent_expressions():
-    want = oracles.constants()
+    want = hp_oracles.constants()
     with mp.workdps(40):
         for c in sharp_constants():
             rel = abs(mp.mpf(c.value) - want[c.name]) / abs(want[c.name])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
+import hp_oracles
 from meanslab import (
     MEANS,
     DomainError,
@@ -47,7 +47,7 @@ def test_textbook_values():
 
 
 def test_neuman_sandor_value():
-    want = float(oracles.neuman(3, 1))
+    want = float(hp_oracles.neuman(3, 1))
     assert neuman_sandor(3, 1) == pytest.approx(want, rel=5e-16)
 
 
@@ -56,7 +56,7 @@ def test_neuman_sandor_value():
 def test_seiffert_values(fn, name):
     (symbol,) = [s for s, mean in MEANS.items() if mean.label == name]
     assert MEANS[symbol].kernel is fn
-    want = float(oracles.MEANS[symbol](2, 5))
+    want = float(hp_oracles.MEANS[symbol](2, 5))
     assert fn(2, 5) == pytest.approx(want, rel=5e-16)
 
 
@@ -140,7 +140,7 @@ def test_first_seiffert_matches_arctan_form_across_ratios():
     ratios = np.geomspace(1.0 + 1e-8, 1e8, 160)
     for r in ratios:
         mine = first_seiffert(float(r), 1.0)
-        ref = float(oracles.seiffert1(float(r), 1.0))
+        ref = float(hp_oracles.seiffert1(float(r), 1.0))
         assert mine == pytest.approx(ref, rel=1e-12), r
 
 
@@ -148,7 +148,7 @@ def test_second_seiffert_stable_across_ratios():
     ratios = np.geomspace(1.0 + 1e-8, 1e8, 160)
     for r in ratios:
         mine = second_seiffert(float(r), 1.0)
-        ref = float(oracles.seiffert2(float(r), 1.0))
+        ref = float(hp_oracles.seiffert2(float(r), 1.0))
         assert mine == pytest.approx(ref, rel=1e-12), r
 
 
@@ -156,7 +156,7 @@ def test_neuman_sandor_stable_across_ratios():
     ratios = np.geomspace(1.0 + 1e-12, 1e8, 200)
     for r in ratios:
         mine = neuman_sandor(float(r), 1.0)
-        ref = float(oracles.neuman(float(r), 1.0))
+        ref = float(hp_oracles.neuman(float(r), 1.0))
         assert mine == pytest.approx(ref, rel=1e-12), r
 
 
@@ -166,7 +166,7 @@ def test_neuman_sandor_series_switch_is_seamless():
     for t in (0.99e-4, 1.01e-4):
         a = (1.0 + t) / (1.0 - t)
         mine = neuman_sandor(a, 1.0)
-        ref = float(oracles.neuman(a, 1.0))
+        ref = float(hp_oracles.neuman(a, 1.0))
         assert mine == pytest.approx(ref, rel=1e-13)
 
 
@@ -192,14 +192,14 @@ def test_glog_general_orders_match_oracle():
     for p in (-3.0, -0.5, 0.5, 2.0, 3.7, 40.0):
         for a in (1.0 + 1e-6, 2.0, 1e8):
             mine = generalized_logarithmic(p, a, 1.0)
-            ref = float(oracles.glog(p, a, 1.0))
+            ref = float(hp_oracles.glog(p, a, 1.0))
             assert mine == pytest.approx(ref, rel=1e-12), (p, a)
 
 
 def test_glog_just_outside_limit_windows_matches_oracle():
     for p in (2e-6, -2e-6, -1.0 + 2e-6, -1.0 - 2e-6):
         mine = generalized_logarithmic(p, 1.0, 3.0)
-        ref = float(oracles.glog(p, 1.0, 3.0))
+        ref = float(hp_oracles.glog(p, 1.0, 3.0))
         assert mine == pytest.approx(ref, rel=1e-7), p
 
 
@@ -213,7 +213,7 @@ def test_glog_at_extreme_finite_ratios_matches_oracle(p):
     pairs = [(1e306, 1.0), (1e308, 1.0), (1e300, 1e-300), (1e-300, 1e300)]
     for a, b in pairs:
         mine = generalized_logarithmic(p, a, b)
-        assert mine == pytest.approx(float(oracles.glog(p, a, b)), rel=1e-12), (a, b)
+        assert mine == pytest.approx(float(hp_oracles.glog(p, a, b)), rel=1e-12), (a, b)
         assert min(a, b) <= mine <= max(a, b), (a, b)
     # a batch mixing both lanes gives each lane its scalar value
     a = np.array([a for a, _ in pairs] + [3.0])
@@ -307,5 +307,5 @@ def test_registry_kernels_match_their_oracles(symbol):
     rtol = ORACLE_RTOL.get(symbol, 1e-15)
     for r in np.geomspace(1.0 + 1e-8, 1e8, 40):
         for a, b in ((float(r), 1.0), (0.5, 0.5 * float(r))):
-            want = float(oracles.MEANS[symbol](a, b))
+            want = float(hp_oracles.MEANS[symbol](a, b))
             assert kernel(a, b) == pytest.approx(want, rel=rtol), (a, b)

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import oracles
+import hp_oracles
 from meanslab import (
     THETA_STAR,
     DegeneratePairError,
@@ -31,13 +31,15 @@ def test_theta_star_value():
     # log(1 + sqrt 2) and asinh(1) are the same number; the two library's
     # routes may disagree by an ulp
     assert THETA_STAR == pytest.approx(math.asinh(1.0), rel=5e-16)
-    assert THETA_STAR == pytest.approx(float(oracles.theta_star()), rel=5e-16)
+    assert THETA_STAR == pytest.approx(float(hp_oracles.theta_star()), rel=5e-16)
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
 def test_limits_at_zero(which):
     assert abs(h_eval(which, 1e-8) - LIMITS[which]) < 1e-8
-    assert h_eval(which, 0.0) == pytest.approx(LIMITS[which], rel=1e-15)
+    # θ² underflows to 0 in the series quotient, which leaves a_0/b_0
+    for theta in (0.0, 1e-300, 1e-160, 1e-100):
+        assert h_eval(which, theta) == pytest.approx(LIMITS[which], rel=1e-15), theta
 
 
 # The unified proof: each sharp constant of Theorems 3.1, 3.3 and 3.4 is
@@ -60,7 +62,7 @@ def test_sharp_constants_are_h_end_values(name, which, at_zero, shift):
             num, den = LIMITS_EXACT[which]
             end = mp.mpf(num) / den
         else:
-            end = oracles.H_FUNCS[which](oracles.theta_star())
+            end = hp_oracles.H_FUNCS[which](hp_oracles.theta_star())
         assert abs(c.value - (end - shift)) < mp.mpf("1e-35")
     theta = 0.0 if at_zero else THETA_STAR
     assert h_eval(which, theta) - shift == pytest.approx(c.float_value, rel=1e-14)
@@ -78,15 +80,16 @@ def test_matches_naive_form_at_moderate_theta(which):
     rng = np.random.default_rng(7)
     for theta in rng.uniform(1e-3, THETA_STAR, 50):
         assert h_eval(which, theta) == pytest.approx(
-            float(oracles.H_FUNCS[which](theta)), rel=1e-13
+            float(hp_oracles.H_FUNCS[which](theta)), rel=1e-13
         )
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
 def test_accurate_down_to_tiny_theta(which):
-    # straddles the series switch and the cancellation-prone region
-    for theta in (1e-12, 1e-8, 1e-5, 9.99e-4, 1.01e-3, 1e-2, 0.5, 1.999, 2.0, 5.0):
-        want = float(oracles.H_FUNCS[which](theta))
+    # straddles the series switch at θ = 2 and the cancellation-prone region
+    for theta in (1e-12, 1e-8, 1e-5, 9.99e-4, 1.01e-3, 1e-2, 0.5, 1.999, 1.999999,
+                  2.0, 2.000001, 5.0):
+        want = float(hp_oracles.H_FUNCS[which](theta))
         assert h_eval(which, theta) == pytest.approx(want, rel=1e-13), theta
 
 
@@ -104,12 +107,21 @@ def test_h_eval_vectorized_and_validated():
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
+def test_h_eval_array_equals_its_scalars(which):
+    # both lanes, their boundary, and the ends of the accepted range
+    thetas = np.array([0.0, 1e-300, 1e-9, 1e-3, 0.5, THETA_STAR, 1.999999, 2.0,
+                       2.000001, 7.5, 300.0])
+    out = h_eval(which, thetas)
+    assert [float(v) for v in out] == [h_eval(which, float(t)) for t in thetas]
+
+
+@pytest.mark.parametrize("which", ["h1", "h2", "h3"])
 def test_h_eval_rejects_theta_past_the_overflow_bound(which):
     # sinh²θ overflows near θ = 355; at 400 the ratios came out as inf or 0
     for theta in (400.0, 800.0, np.array([0.1, 800.0])):
         with pytest.raises(DomainError):
             h_eval(which, theta)
-    assert h_eval(which, 10.0) == pytest.approx(float(oracles.H_FUNCS[which](10.0)), rel=1e-13)
+    assert h_eval(which, 10.0) == pytest.approx(float(hp_oracles.H_FUNCS[which](10.0)), rel=1e-13)
 
 
 def test_substitution_theta():
@@ -177,7 +189,7 @@ def test_solve_p0():
     root = solve_p0()
     assert f"{root:.3f}".startswith("1.84")
     assert str(root).startswith("1.843")
-    want = float(oracles.p_zero())
+    want = float(hp_oracles.p_zero())
     assert root == pytest.approx(want, abs=2e-12)
     # the defining equation holds to well below the stated tolerance
     target = 2.0 * math.log(1.0 + math.sqrt(2.0))
