@@ -20,9 +20,8 @@ from .catalog import (
     verify,
     verify_random,
 )
-from .constants import SharpConstant, constant, expr_text, expr_value, sharp_constants
+from .constants import SharpConstant, constant, expr_value, sharp_constants, solve_p0
 from .errors import (
-    BracketError,
     DegeneratePairError,
     DomainError,
     NotApplicableError,
@@ -52,7 +51,6 @@ from .ratios import (
     identity_residuals,
     m_to_ch_ratio,
     monotonicity_scan,
-    solve_p0,
     substitution_theta,
 )
 from .series import (
@@ -65,7 +63,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
     "DegeneratePairError",
     "DifferenceReport",
     "DomainError",
@@ -92,7 +89,6 @@ __all__ = [
     "constant",
     "contraharmonic",
     "difference_sign_check",
-    "expr_text",
     "expr_value",
     "first_seiffert",
     "format_float",

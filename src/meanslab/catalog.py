@@ -313,7 +313,7 @@ def _side(spec: RecordSpec, side: str):
         return None, None, None, None
     if isinstance(given, tuple):
         const = constant(f"{spec.id}.{side}")
-        return const, const.float_value, const.text, ProbeSpec(side, *given)
+        return const, const.float_value, const.exact_expr, ProbeSpec(side, *given)
     return None, float(given), format_float(given), None
 
 

@@ -3,6 +3,10 @@
 Exit codes: 0 on success (all checks passed), 1 when a verification
 produced a certified failure, 2 on usage, domain or I/O errors, and 3 when
 the result is inconclusive (a sharpness probe found no witness).
+
+Every subcommand takes ``--format`` and ``--output``.  Only ``verify`` and
+``verify-all`` take ``--seed`` and ``--samples``, and only ``series-check``
+takes ``--depth``; a count below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -14,18 +18,22 @@ import mpmath as mp
 
 from . import reporting
 from .catalog import catalog, record, sharpness_probe, verify, verify_random
-from .constants import sharp_constants
-from .errors import BracketError, DomainError, NotApplicableError, ParameterError
+from .constants import sharp_constants, solve_p0
+from .errors import DomainError, NotApplicableError, ParameterError
 from .means import PositivePair, parse
-from .ratios import solve_p0
 from .series import SeriesId, difference_sign_check
+
+
+def count(text: str) -> int:
+    """argparse type of --samples and --depth: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--samples", type=int, default=100_000)
-    common.add_argument("--depth", type=int, default=200)
     common.add_argument(
         "--format",
         dest="output_format",
@@ -33,6 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
     )
     common.add_argument("--output", dest="output_path", default=None)
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampling.add_argument("--seed", type=int, default=42)
+    sampling.add_argument("--samples", type=count, default=100_000)
 
     parser = argparse.ArgumentParser(
         prog="meanslab",
@@ -45,16 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
 
-    sub.add_parser("verify-all", parents=[common], help="sample-check every record")
+    sub.add_parser("verify-all", parents=[sampling], help="sample-check every record")
 
-    p = sub.add_parser("verify", parents=[common], help="check one record")
+    p = sub.add_parser("verify", parents=[sampling], help="check one record")
     p.add_argument("--record", required=True, help="record id, e.g. thm3.1")
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
 
-    sub.add_parser(
+    p = sub.add_parser(
         "series-check", parents=[common], help="sign-check coefficient differences"
     )
+    p.add_argument("--depth", type=count, default=200)
 
     p = sub.add_parser("sharpness", parents=[common], help="probe sharp constants")
     p.add_argument("--record", default=None, help="restrict to one record id")
@@ -139,13 +151,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.samples < 1:
-            raise ParameterError("samples must be at least 1")
-        if args.depth < 1:
-            raise ParameterError("depth must be at least 1")
         rows, verdict = _DISPATCH[args.command](args)
         reporting.emit(reporting.render(rows, args.output_format), args.output_path)
-    except (ParameterError, DomainError, NotApplicableError, BracketError, ValueError, OSError) as exc:
+    except (ParameterError, DomainError, NotApplicableError, ValueError, OSError) as exc:
         print(f"meanslab: {exc}", file=sys.stderr)
         return 2
     return _EXIT_CODES[verdict]

@@ -1,112 +1,68 @@
 """Sharp constants of the mean comparisons, exactly and to 40 digits.
 
 Every best-possible weight or bound in the inequality catalog is an exact
-expression over a tiny vocabulary: rationals, √2, L = ln(1+√2), e, and one
-algebraic number p0 defined by a scalar root equation.  Each constant is
-stored as a small expression tree, from which both the display text and the
-high-precision value are produced — there is exactly one source of truth
-per constant.
+expression over a tiny vocabulary: integers, √2, ln(1+√2), e, and one
+number p0 defined by a scalar root equation.  Each constant is stored once,
+as the formula text that reports print; :func:`expr_value` parses that text
+and computes the high-precision value from it.
 
-Tree grammar: an expression is an int, a :class:`fractions.Fraction`, one
-of the atom names ``"sqrt2" | "L" | "e" | "p0"``, or a tuple
-``(op, x, y)`` / ``("neg", x)`` with op in ``add sub mul div``.
+Expression grammar (a subset of Python expression syntax): integer
+literals, unary minus, ``+ - * /``, parentheses, the one-argument calls
+``sqrt(x)`` and ``ln(x)``, and the names ``e`` and ``p0``.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
 from .errors import ParameterError
 
-__all__ = ["SharpConstant", "sharp_constants", "constant", "expr_text", "expr_value"]
+__all__ = ["SharpConstant", "sharp_constants", "constant", "expr_value", "solve_p0"]
 
 _DPS = 40
 
-
-def expr_value(expr) -> mp.mpf:
-    """Evaluate an expression tree at the current mpmath precision."""
-    if isinstance(expr, (int, Fraction)):
-        return mp.mpf(expr.numerator) / expr.denominator if isinstance(expr, Fraction) else mp.mpf(expr)
-    if isinstance(expr, str):
-        if expr == "sqrt2":
-            return mp.sqrt(2)
-        if expr == "L":
-            return mp.log(1 + mp.sqrt(2))
-        if expr == "e":
-            return +mp.e
-        if expr == "p0":
-            return +_p0_hp()
-        raise ParameterError(f"unknown atom {expr!r}")
-    op, *args = expr
-    if op == "neg":
-        return -expr_value(args[0])
-    x, y = (expr_value(a) for a in args)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ParameterError(f"unknown operator {op!r}")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_CALLS = {"sqrt": mp.sqrt, "ln": mp.log}
 
 
-_ATOM_TEXT = {"sqrt2": "sqrt(2)", "L": "ln(1+sqrt(2))", "e": "e", "p0": "p0"}
+def expr_value(text: str) -> mp.mpf:
+    """Evaluate an exact expression at the current mpmath precision.
+
+    The text is parsed, never executed: any syntax outside the module's
+    grammar raises ParameterError.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ParameterError(f"cannot parse expression {text!r}: {exc}") from None
+    return _node_value(tree.body, text)
 
 
-def _is_atomic(expr) -> bool:
-    if isinstance(expr, tuple):
-        return False
-    if isinstance(expr, Fraction):
-        return expr.denominator == 1 and expr >= 0
-    if isinstance(expr, int):
-        return expr >= 0
-    return True
-
-
-def expr_text(expr) -> str:
-    """Render an expression tree as a conventional one-line formula."""
-    if isinstance(expr, (int, Fraction)):
-        return str(expr)
-    if isinstance(expr, str):
-        return _ATOM_TEXT[expr]
-    op, *args = expr
-
-    def factor(e) -> str:
-        # parenthesise anything that would bind looser than * and /
-        t = expr_text(e)
-        if isinstance(e, tuple) and e[0] in ("add", "sub", "neg", "div"):
-            return f"({t})"
-        if not _is_atomic(e) and not isinstance(e, tuple):
-            return f"({t})"
-        return t
-
-    if op == "neg":
-        return f"-{factor(args[0])}"
-    x, y = args
-    if op == "add":
-        return f"{expr_text(x)} + {expr_text(y)}"
-    if op == "sub":
-        yt = expr_text(y)
-        if isinstance(y, tuple) and y[0] in ("add", "sub", "neg"):
-            yt = f"({yt})"
-        elif not _is_atomic(y) and not isinstance(y, tuple):
-            yt = f"({yt})"
-        return f"{expr_text(x)} - {yt}"
-    if op == "mul":
-        return f"{factor(x)}*{factor(y)}"
-    if op == "div":
-        num = factor(x)
-        den = expr_text(y)
-        if not _is_atomic(y):
-            den = f"({den})"
-        return f"{num}/{den}"
-    raise ParameterError(f"unknown operator {op!r}")
+def _node_value(node, text: str) -> mp.mpf:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return mp.mpf(node.value)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_node_value(node.operand, text)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_node_value(node.left, text), _node_value(node.right, text))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _CALLS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        return _CALLS[node.func.id](_node_value(node.args[0], text))
+    if isinstance(node, ast.Name) and node.id == "e":
+        return +mp.e
+    if isinstance(node, ast.Name) and node.id == "p0":
+        return +_p0_hp()
+    raise ParameterError(f"unsupported term {ast.unparse(node)!r} in expression {text!r}")
 
 
 @lru_cache(maxsize=1)
@@ -122,9 +78,14 @@ def _p0_hp() -> mp.mpf:
     return root
 
 
+def solve_p0() -> float:
+    """The critical exponent p0, rounded to the nearest double."""
+    return float(_p0_hp())
+
+
 @dataclass(frozen=True)
 class SharpConstant:
-    """One best-possible constant: exact expression, rendering, and value.
+    """One best-possible constant: exact expression text and value.
 
     ``value`` carries 40 significant digits.  ``definition`` is set only
     for constants that are roots rather than closed forms.
@@ -132,8 +93,7 @@ class SharpConstant:
 
     name: str
     context: str
-    exact_expr: object
-    text: str
+    exact_expr: str
     value: mp.mpf
     definition: str | None = None
 
@@ -142,90 +102,53 @@ class SharpConstant:
         return float(self.value)
 
 
-_HALF_L_INV = ("div", 1, ("mul", 2, "L"))  # 1/(2L), the recurring kernel value
-
-_TABLE: tuple[tuple[str, str, object, str | None], ...] = (
-    (
-        "thm3.1.lower",
-        "sharp lower bound of (M - C)/CH",
-        ("sub", _HALF_L_INV, 1),
-        None,
-    ),
-    ("thm3.1.upper", "sharp upper bound of (M - C)/CH", Fraction(-5, 12), None),
-    ("cor3.1.lower", "sharp coefficient in alpha*CH < C - M", Fraction(5, 12), None),
-    (
-        "cor3.1.upper",
-        "sharp coefficient in C - M < beta*CH",
-        ("sub", 1, _HALF_L_INV),
-        None,
-    ),
-    ("cor3.2.lower", "sharp coefficient in alpha*CH < Cbar - M", Fraction(1, 12), None),
-    (
-        "cor3.2.upper",
-        "sharp coefficient in Cbar - M < beta*CH",
-        ("sub", Fraction(2, 3), _HALF_L_INV),
-        None,
-    ),
-    ("thm3.2.lower", "sharp one-sided bound in lambda*CH < M", _HALF_L_INV, None),
-    ("thm3.3.lower", "sharp weight in alpha*Q + (1-alpha)*M < Cbar", Fraction(1, 2), None),
+_TABLE: tuple[tuple[str, str, str, str | None], ...] = (
+    ("thm3.1.lower", "sharp lower bound of (M - C)/CH", "1/(2*ln(1+sqrt(2))) - 1", None),
+    ("thm3.1.upper", "sharp upper bound of (M - C)/CH", "-5/12", None),
+    ("cor3.1.lower", "sharp coefficient in alpha*CH < C - M", "5/12", None),
+    ("cor3.1.upper", "sharp coefficient in C - M < beta*CH", "1 - 1/(2*ln(1+sqrt(2)))", None),
+    ("cor3.2.lower", "sharp coefficient in alpha*CH < Cbar - M", "1/12", None),
+    ("cor3.2.upper", "sharp coefficient in Cbar - M < beta*CH", "2/3 - 1/(2*ln(1+sqrt(2)))", None),
+    ("thm3.2.lower", "sharp one-sided bound in lambda*CH < M", "1/(2*ln(1+sqrt(2)))", None),
+    ("thm3.3.lower", "sharp weight in alpha*Q + (1-alpha)*M < Cbar", "1/2", None),
     (
         "thm3.3.upper",
         "sharp weight in Cbar < beta*Q + (1-beta)*M",
-        ("div", ("sub", 3, ("mul", 4, "L")), ("mul", 3, ("sub", 1, ("mul", "sqrt2", "L")))),
+        "(3 - 4*ln(1+sqrt(2)))/(3*(1 - sqrt(2)*ln(1+sqrt(2))))",
         None,
     ),
     (
         "thm3.4.lower",
         "sharp weight in alpha*C + (1-alpha)*M < Q",
-        ("div", ("sub", ("mul", "sqrt2", "L"), 1), ("sub", ("mul", 2, "L"), 1)),
+        "(sqrt(2)*ln(1+sqrt(2)) - 1)/(2*ln(1+sqrt(2)) - 1)",
         None,
     ),
-    ("thm3.4.upper", "sharp weight in Q < beta*C + (1-beta)*M", Fraction(2, 5), None),
+    ("thm3.4.upper", "sharp weight in Q < beta*C + (1-beta)*M", "2/5", None),
     (
         "neuman-QA.lower",
         "sharp weight in alpha*Q + (1-alpha)*A < M",
-        ("div", ("sub", 1, "L"), ("mul", ("sub", "sqrt2", 1), "L")),
+        "(1 - ln(1+sqrt(2)))/((sqrt(2) - 1)*ln(1+sqrt(2)))",
         None,
     ),
-    ("neuman-QA.upper", "sharp weight in M < beta*Q + (1-beta)*A", Fraction(1, 3), None),
+    ("neuman-QA.upper", "sharp weight in M < beta*Q + (1-beta)*A", "1/3", None),
     (
         "neuman-CA.lower",
         "sharp weight in lambda*C + (1-lambda)*A < M",
-        ("div", ("sub", 1, "L"), "L"),
+        "(1 - ln(1+sqrt(2)))/ln(1+sqrt(2))",
         None,
     ),
-    ("neuman-CA.upper", "sharp weight in M < mu*C + (1-mu)*A", Fraction(1, 6), None),
-    ("zhao-HQ.lower", "sharp weight in alpha*H + (1-alpha)*Q < M", Fraction(2, 9), None),
-    (
-        "zhao-HQ.upper",
-        "sharp weight in M < beta*H + (1-beta)*Q",
-        ("sub", 1, ("div", 1, ("mul", "sqrt2", "L"))),
-        None,
-    ),
-    ("zhao-GQ.lower", "sharp weight in alpha*G + (1-alpha)*Q < M", Fraction(1, 3), None),
-    (
-        "zhao-GQ.upper",
-        "sharp weight in M < beta*G + (1-beta)*Q",
-        ("sub", 1, ("div", 1, ("mul", "sqrt2", "L"))),
-        None,
-    ),
-    (
-        "zhao-HC.lower",
-        "sharp weight in alpha*H + (1-alpha)*C < M",
-        ("sub", 1, _HALF_L_INV),
-        None,
-    ),
-    ("zhao-HC.upper", "sharp weight in M < beta*H + (1-beta)*C", Fraction(5, 12), None),
-    (
-        "identric-IQ.lower",
-        "sharp weight in alpha*I + (1-alpha)*Q < M",
-        Fraction(1, 2),
-        None,
-    ),
+    ("neuman-CA.upper", "sharp weight in M < mu*C + (1-mu)*A", "1/6", None),
+    ("zhao-HQ.lower", "sharp weight in alpha*H + (1-alpha)*Q < M", "2/9", None),
+    ("zhao-HQ.upper", "sharp weight in M < beta*H + (1-beta)*Q", "1 - 1/(sqrt(2)*ln(1+sqrt(2)))", None),
+    ("zhao-GQ.lower", "sharp weight in alpha*G + (1-alpha)*Q < M", "1/3", None),
+    ("zhao-GQ.upper", "sharp weight in M < beta*G + (1-beta)*Q", "1 - 1/(sqrt(2)*ln(1+sqrt(2)))", None),
+    ("zhao-HC.lower", "sharp weight in alpha*H + (1-alpha)*C < M", "1 - 1/(2*ln(1+sqrt(2)))", None),
+    ("zhao-HC.upper", "sharp weight in M < beta*H + (1-beta)*C", "5/12", None),
+    ("identric-IQ.lower", "sharp weight in alpha*I + (1-alpha)*Q < M", "1/2", None),
     (
         "identric-IQ.upper",
         "sharp weight in M < beta*I + (1-beta)*Q",
-        ("div", ("mul", "e", ("sub", ("mul", "sqrt2", "L"), 1)), ("mul", ("sub", ("mul", "sqrt2", "e"), 2), "L")),
+        "e*(sqrt(2)*ln(1+sqrt(2)) - 1)/((sqrt(2)*e - 2)*ln(1+sqrt(2)))",
         None,
     ),
     (
@@ -240,20 +163,11 @@ _TABLE: tuple[tuple[str, str, object, str | None], ...] = (
 @lru_cache(maxsize=1)
 def sharp_constants() -> tuple[SharpConstant, ...]:
     """All sharp constants in the catalog, each with a 40-digit value."""
-    out = []
     with mp.workdps(_DPS):
-        for name, context, expr, definition in _TABLE:
-            out.append(
-                SharpConstant(
-                    name=name,
-                    context=context,
-                    exact_expr=expr,
-                    text=expr_text(expr),
-                    value=expr_value(expr),
-                    definition=definition,
-                )
-            )
-    return tuple(out)
+        return tuple(
+            SharpConstant(name, context, expr, expr_value(expr), definition)
+            for name, context, expr, definition in _TABLE
+        )
 
 
 def constant(name: str) -> SharpConstant:

@@ -19,7 +19,3 @@ class NotApplicableError(Exception):
     Raised by catalog checks whose statement carries a domain restriction;
     callers should treat it as "no verdict", not as a failure.
     """
-
-
-class BracketError(ArithmeticError):
-    """A root bracket did not straddle a sign change."""

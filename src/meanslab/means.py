@@ -51,9 +51,9 @@ __all__ = [
 # t/asinh(t) is replaced by its even Taylor polynomial.
 TAU_SERIES = 1e-4
 
-# Half-width of the parameter windows around p = 0 and p = -1 in which the
-# generalized logarithmic mean uses its limit branches.  The closed form
-# loses roughly |p|⁻¹-amplified digits near the removable singularities.
+# Half-width of the parameter window around p = 0 in which the generalized
+# logarithmic mean uses its identric limit branch: the closed form raises a
+# quotient to the power 1/p and loses roughly |p|⁻¹-amplified digits there.
 TAU_P = 1e-6
 
 
@@ -211,7 +211,7 @@ def generalized_logarithmic(p, a, b):
     Three branches on the order:
 
     * ``|p| < TAU_P``        — identric limit (1/e)·(b^b/a^a)^(1/(b-a));
-    * ``|p + 1| < TAU_P``    — logarithmic limit (b - a)/(ln b - ln a);
+    * ``p == -1``            — logarithmic mean (b - a)/(ln b - ln a);
     * otherwise              — [(b^(p+1) - a^(p+1))/((p+1)(b-a))]^(1/p).
 
     The general branch works on the reduced variable d = (hi - lo)/lo, with
@@ -237,7 +237,7 @@ def generalized_logarithmic(p, a, b):
         expo = np.where(d == 0.0, 0.0, (1.0 + d) * u / dd - 1.0)
         return _ret(lo * np.exp(expo))
 
-    if abs(p + 1.0) < TAU_P:
+    if p == -1.0:
         u = np.log1p(d)
         quotient = np.where(d == 0.0, 1.0, d / np.where(u == 0.0, 1.0, u))
         return _ret(lo * quotient)
@@ -265,12 +265,13 @@ def _glog_far(p, hi, lo):
     if abs(p) < TAU_P:
         # log I = log hi - 1 + lo·ln(hi/lo)/(hi - lo)
         return hi * np.exp(lo * ell / (hi - lo) - 1.0)
-    if abs(p + 1.0) < TAU_P:
+    if p == -1.0:
         return (hi - lo) / ell
     # L_p = lo·[(X^(p+1) - 1)/((p+1)(X - 1))]^(1/p) with X = hi/lo, where
-    # log|X^(p+1) - 1| = max(z, 0) + log1p(-exp(-|z|)) for z = (p+1)·ln X.
+    # log|X^(p+1) - 1| = max(z, 0) + log(-expm1(-|z|)) for z = (p+1)·ln X;
+    # expm1 keeps the last factor accurate when p is close to -1 and z is small.
     z = (p + 1.0) * ell
-    log_gap = np.maximum(z, 0.0) + np.log1p(-np.exp(-np.abs(z)))
+    log_gap = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
     log_quotient = log_gap - math.log(abs(p + 1.0)) - (np.log(hi - lo) - log_lo)
     return np.exp(log_lo + log_quotient / p)
 

@@ -13,8 +13,8 @@ Pairs of positive reals only ever produce θ in (0, θ*) with
 values at 0⁺ and θ* are exactly the sharp constants of the inequality
 catalog.  This module evaluates the ratios accurately over the whole range
 (the quotient of their power series below θ = 2, the closed form from
-there on), checks the substitution identities numerically, scans
-monotonicity, and solves the scalar root equation for the exponent p0.
+there on), checks the substitution identities numerically and scans
+monotonicity.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import BracketError, DegeneratePairError, DomainError, ParameterError
+from .errors import DegeneratePairError, DomainError, ParameterError
 from .means import PositivePair
 from .series import SeriesId, _horner, coefficient_floats, series
 
@@ -38,7 +38,6 @@ __all__ = [
     "substitution_theta",
     "identity_residuals",
     "monotonicity_scan",
-    "solve_p0",
     "m_to_ch_ratio",
 ]
 
@@ -135,9 +134,10 @@ def identity_residuals(pair: PositivePair) -> IdentityResiduals:
 
     The mean differences on the left sides cancel catastrophically in
     doubles when a ≈ b (the interesting regime), so the left sides are
-    computed with mpmath at 30 significant digits; the right sides use the
-    ordinary double-precision evaluator.  The residuals therefore measure
-    exactly the error of the fast path.
+    computed with mpmath at 30 significant digits, from t = |a - b|/(a + b)
+    with A = 1 (every mean here is A times a function of t); the right sides
+    use the ordinary double-precision evaluator.  The residuals therefore
+    measure exactly the error of the fast path.
     """
     if pair.degenerate:
         raise DegeneratePairError("identities need two distinct values")
@@ -150,13 +150,13 @@ def identity_residuals(pair: PositivePair) -> IdentityResiduals:
 
     with mp.workdps(30):
         a, b = mp.mpf(pair.a), mp.mpf(pair.b)
-        A = (a + b) / 2
         t = abs(a - b) / (a + b)
-        M = A * t / mp.asinh(t)
-        C = (a * a + b * b) / (a + b)
-        CH = (a - b) ** 2 / (a + b)
-        CBAR = 2 * (a * a + a * b + b * b) / (3 * (a + b))
-        Q = mp.sqrt((a * a + b * b) / 2)
+        t2 = t * t
+        M = t / mp.asinh(t)
+        C = 1 + t2
+        CH = 2 * t2
+        CBAR = 1 + t2 / 3
+        Q = mp.sqrt(C)
         r1 = (M - C) / CH
         r2 = (CBAR - M) / (Q - M)
         r3 = (Q - M) / (C - M)
@@ -223,38 +223,3 @@ def m_to_ch_ratio(t):
         raise DomainError("the ratio is considered on 0 < t < 1")
     out = 1.0 / (2.0 * tt * np.arcsinh(tt))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def solve_p0(tol: float = 1e-12) -> float:
-    """Solve (p+1)^(1/p) = 2 ln(1+√2) on [1.5, 2.5] by bisection.
-
-    The target function is continuous and changes sign across the bracket;
-    bisection to an interval shorter than ``tol`` gives the root to full
-    double precision.  Raises BracketError if the bracket ever fails to
-    straddle, which would mean the implementation (not the math) is broken.
-    """
-    target = 2.0 * math.log(1.0 + math.sqrt(2.0))
-
-    def g(p: float) -> float:
-        return (p + 1.0) ** (1.0 / p) - target
-
-    lo, hi = 1.5, 2.5
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0.0) == (ghi > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g={glo}, {ghi}")
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # interval has collapsed to adjacent doubles
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -112,7 +112,7 @@ def series_row(rep: DifferenceReport) -> dict:
 
 def constant_row(c: SharpConstant, digits: int = 30) -> dict:
     value = mp.nstr(c.value, digits)
-    values = {"expr": c.text, "value": value, "context": c.context}
+    values = {"expr": c.exact_expr, "value": value, "context": c.context}
     if c.definition:
         values["definition"] = c.definition
     return _row(c.name, "constant", None, values, None, None)

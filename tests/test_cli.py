@@ -63,8 +63,7 @@ def test_constants_output(capsys):
 def test_p0_output(capsys):
     code, out = run_cli(capsys, "p0")
     assert code == 0
-    assert out.startswith("p0 = 1.843")
-    assert "residual" in out
+    assert out.startswith("p0 = 1.8435205184311405  residual = ")
 
 
 def test_series_check_passes(capsys):
@@ -166,6 +165,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(["eval", "--mean", "arithmetic", "--a", "-1", "--b", "2"]) == 2
     assert run(["verify-all", "--samples", "0"]) == 2
     assert run(["series-check", "--depth", "0"]) == 2
+    # flags belong only to the commands that read them
+    assert run(["eval", "--mean", "A", "--a", "1", "--b", "2", "--seed", "3"]) == 2
+    assert run(["constants", "--depth", "3"]) == 2
+    assert run(["sharpness", "--samples", "5"]) == 2
     assert run(["verify-all", "--format", "yaml"]) == 2
     assert run(["verify", "--record", "no-such-record"]) == 2
     assert run(["verify", "--record", "thm3.1", "--a", "3"]) == 2

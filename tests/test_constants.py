@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 import hp_oracles
-from meanslab import ParameterError, constant, sharp_constants, solve_p0
+from meanslab import ParameterError, constant, expr_value, sharp_constants, solve_p0
 
 # 4-digit decimal prefixes as printed in the source results
 PREFIXES = {
@@ -55,7 +55,7 @@ def test_values_match_independent_expressions():
 
 
 def test_expression_text_is_exact_arithmetic_notation():
-    texts = {c.name: c.text for c in sharp_constants()}
+    texts = {c.name: c.exact_expr for c in sharp_constants()}
     assert texts["thm3.1.lower"] == "1/(2*ln(1+sqrt(2))) - 1"
     assert texts["thm3.1.upper"] == "-5/12"
     assert texts["cor3.2.upper"] == "2/3 - 1/(2*ln(1+sqrt(2)))"
@@ -67,14 +67,28 @@ def test_expression_text_is_exact_arithmetic_notation():
 def test_every_constant_has_context_and_text():
     for c in sharp_constants():
         assert c.context
-        assert c.text
+        assert c.exact_expr
         assert float(c.value) == c.float_value
+
+
+def test_value_is_the_value_of_the_stored_text():
+    with mp.workdps(40):
+        for c in sharp_constants():
+            assert expr_value(c.exact_expr) == c.value, c.name
+
+
+@pytest.mark.parametrize("text", ["__import__('os')", "2**3", "x", "sqrt(2, 3)", "1.5", "1/"])
+def test_expr_value_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ParameterError):
+        expr_value(text)
 
 
 def test_p0_constant_definition_and_value():
     c = constant("lp0-l2.lower")
     assert c.definition and "root" in c.definition
-    assert abs(c.float_value - solve_p0()) < 2e-12
+    assert c.float_value == float(hp_oracles.p_zero())
+    # one root: the solver returns the catalog's constant, not a nearby double
+    assert solve_p0() == c.float_value
 
 
 def test_weight_pairs_bracket_an_interval():

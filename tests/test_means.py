@@ -203,6 +203,15 @@ def test_glog_just_outside_limit_windows_matches_oracle():
         assert mine == pytest.approx(ref, rel=1e-7), p
 
 
+@pytest.mark.parametrize("p", [-1.0 + 9e-7, -1.0 - 9e-7, -1.0 + 1e-12])
+def test_glog_next_to_the_logarithmic_mean_matches_oracle(p):
+    # only p = -1 itself takes the logarithmic-mean branch; the general
+    # branch stays accurate right next to it, out to the log-space lane
+    for r in (1.5, 1e8, 1e100, 1e305):
+        ref = float(hp_oracles.glog(p, r, 1.0))
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12), r
+
+
 P0 = 1.8435205184311405  # lp0-l2.lower, the critical exponent
 
 
