@@ -1,12 +1,15 @@
 """Machine-checkable catalog of the sharp inequalities between the means.
 
-Every record is declared in ``SPECS`` as one of a few forms (a convex
-combination, a bound on a difference over CH, a chain, ...) over the mean
+Every record is declared in ``SPECS`` as one of five forms over the mean
 symbols of :data:`meanslab.means.MEANS`.  :func:`build_record` binds the
 kernels and derives the statement and the vectorised margin function:
 positive margins mean the inequality holds on that pair, and the attached
 :class:`~meanslab.constants.SharpConstant` objects are the claimed
-best-possible weights or bounds.  Three things can be done with a record:
+best-possible weights or bounds.  Thirteen records are the paper's linear
+relations between differences of means, ``alpha*(X - W) < Z - Y <
+beta*(X - W)`` (``X - W`` may be ``CH``): their margins are ``R - alpha`` and
+``beta - R`` times the sign of ``X - W``, for ``R = (Z - Y)/(X - W)``, in the
+constant's own units.  Three things can be done with a record:
 
 * :func:`verify` — evaluate the margins on one pair;
 * :func:`verify_random` — sample many pairs (log-uniform in the ratio a/b,
@@ -62,7 +65,9 @@ class MarginSample:
 
     A ``None`` side means the record makes no claim on that side.  Scales
     carry the magnitude of the quantities whose subtraction produced the
-    margin, so ``100 eps * scale`` bounds the rounding noise in it.
+    margin, so ``100 eps * scale`` bounds the rounding noise in it; for a
+    quotient ``(Z - Y)/(X - W)`` that is the means' magnitudes over
+    ``|X - W|``, plus 1 for the rounding of the quotient itself.
     """
 
     lower: object
@@ -137,39 +142,27 @@ class InequalityRecord:
 # record has no bound on that side), and returns the signed margins.
 
 
-def _combo(kernels, a, b, w_lo, w_up):
-    # w*X + (1-w)*Y compared against Z, on both sides.
-    mix, base, inner = (k(a, b) for k in kernels)
-    scale = np.abs(mix) + np.abs(base) + np.abs(inner)
-    lower = inner - (w_lo * mix + (1.0 - w_lo) * base)
-    upper = (w_up * mix + (1.0 - w_up) * base) - inner
-    return MarginSample(lower, upper, scale, scale)
+def _quotient(kernels, a, b, lo, up):
+    # lo*(X - W) < Z - Y < up*(X - W) on R = (Z - Y)/(X - W), an absent Y or W
+    # being 0.  R carries cancellation noise of order (Z + Y + X + W)/|X - W|
+    # ulp; CH is computed without cancellation, so it adds none.
+    values = {k: k(a, b) for k in dict.fromkeys(kernels) if k is not None}
+    z, y, x, w = (values.get(k, 0.0) for k in kernels)
+    num, den = z - y, x - w
+    means = [v for k, v in values.items() if k is not ch_difference]  # positive: no abs()
+    zero = den == 0.0
+    masked = np.count_nonzero(zero)  # X - W rounded to 0 leaves R unknown: margins 0
+    if masked:
+        den = np.where(zero, 1.0, den)
+    ratio, sign = num / den, np.sign(den)
+    scale = sum(means[1:], means[0]) / abs(den) + 1.0
 
+    def margin(m):
+        return np.where(zero, 0.0, sign * m) if masked else sign * m
 
-def _ratio(kernels, a, b, lo, up):
-    # (X - Y)/CH, or X/CH, against two constants; scale-free value, but the
-    # float ratio carries cancellation noise of order (X + Y)/CH ulp.
-    x = kernels[0](a, b)
-    ch = ch_difference(a, b)
-    if len(kernels) == 1:
-        value = x / ch
-        scale = value + 1.0
-    else:
-        y = kernels[1](a, b)
-        value = (x - y) / ch
-        scale = (x + y) / ch + 1.0
     if up is None:
-        return MarginSample(value - lo, None, scale, None)
-    return MarginSample(value - lo, up - value, scale, scale)
-
-
-def _gap(kernels, a, b, lo, up):
-    # lo*CH < X - Y < up*CH
-    big, small = (k(a, b) for k in kernels)
-    ch = ch_difference(a, b)
-    gap = big - small
-    scale = np.abs(big) + np.abs(small)
-    return MarginSample(gap - lo * ch, up * ch - gap, scale, scale)
+        return MarginSample(margin(ratio - lo), None, scale, None)
+    return MarginSample(margin(ratio - lo), margin(up - ratio), scale, scale)
 
 
 def _ordered(values):
@@ -191,13 +184,6 @@ def _ky_fan(kernels, a, b, lo, up):
     a2 = 1.0 - a
     b2 = 1.0 - b
     return _ordered([k(a, b) / k(a2, b2) for k in kernels])
-
-
-def _sandwich(kernels, a, b, lo, up):
-    # X < Y < Z, each side its own margin
-    x, y, z = (k(a, b) for k in kernels)
-    scale = np.abs(x) + np.abs(y) + np.abs(z)
-    return MarginSample(y - x, z - y, scale, scale)
 
 
 def _product(kernels, a, b, lo, up):
@@ -223,31 +209,29 @@ def _between(*parts) -> str:
     return " < ".join(p for p in parts if p is not None)
 
 
+def _quotient_symbols(text: str) -> tuple:
+    # "Z-Y / X-W" as (Z, Y, X, W), with None for a Y or W left out
+    num, den = ((*side.strip().split("-"), None)[:2] for side in text.split("/"))
+    return num + den
+
+
+def _quotient_text(s, lo, up) -> str:
+    num = " - ".join(filter(None, s[:2]))
+    den = s[2] if s[3] is None else f"({s[2]} - {s[3]})"
+    return _between(f"({lo})*{den}", num, up and f"({up})*{den}")
+
+
 class _Form(NamedTuple):
     margins: Callable  # (kernels, a, b, lower bound, upper bound) -> MarginSample
     text: Callable  # (symbols, lower text, upper text) -> statement
     degree: int | None = 1
     domain: str | None = None
+    symbols: Callable = str.split  # the spec's means text -> symbols, in margin order
 
 
 _FORMS = {
-    "convex-combination": _Form(
-        _combo,
-        lambda s, lo, up: (
-            f"alpha*{s[0]} + (1-alpha)*{s[1]} < {s[2]} < beta*{s[0]} + (1-beta)*{s[1]}"
-            f" with alpha = {lo}, beta = {up}"
-        ),
-    ),
-    "ratio-bound": _Form(
-        _ratio,
-        lambda s, lo, up: _between(lo, f"({s[0]} - {s[1]})/CH" if len(s) > 1 else f"{s[0]}/CH", up),
-        degree=0,
-    ),
-    "additive-gap": _Form(
-        _gap, lambda s, lo, up: _between(f"({lo})*CH", " - ".join(s), f"({up})*CH")
-    ),
+    "difference-ratio": _Form(_quotient, _quotient_text, degree=0, symbols=_quotient_symbols),
     "chain": _Form(_chain, lambda s, lo, up: _between(*s)),
-    "sandwich": _Form(_sandwich, lambda s, lo, up: _between(*s)),
     "product-bound": _Form(
         _product,
         lambda s, lo, up: f"{s[0]}*{s[2]} < {s[1]}^2 < ({s[0]}^2 + {s[2]}^2)/2",
@@ -271,10 +255,11 @@ class RecordSpec(NamedTuple):
     """One catalog record, declared over the symbols of ``means.MEANS``.
 
     ``means`` lists the symbols, space-separated, in the order the form
-    takes them.  Each side is ``None`` when it carries no constant, a
-    ``(tighten, endpoint)`` pair when its bound is the sharp constant
-    ``{id}.lower`` or ``{id}.upper`` (see :class:`ProbeSpec`), or a plain
-    float for a fixed bound that is not claimed sharp.
+    takes them; a ``difference-ratio`` spec writes its quotient instead:
+    ``"Z-Y / X-W"``, ``"Z-Y / CH"`` or ``"Z / CH"``.  Each side is ``None``
+    when it carries no constant, a ``(tighten, endpoint)`` pair when its
+    bound is the sharp constant ``{id}.lower`` or ``{id}.upper`` (see
+    :class:`ProbeSpec`), or a plain float for a fixed bound not claimed sharp.
     """
 
     id: str
@@ -286,21 +271,21 @@ class RecordSpec(NamedTuple):
 
 
 SPECS = (
-    RecordSpec("neuman-QA", "prior-result", "convex-combination", "Q A M", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("neuman-CA", "prior-result", "convex-combination", "C A M", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("zhao-HQ", "prior-result", "convex-combination", "H Q M", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("zhao-GQ", "prior-result", "convex-combination", "G Q M", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("zhao-HC", "prior-result", "convex-combination", "H C M", (-1.0, "far"), (+1.0, "near")),
-    RecordSpec("identric-IQ", "prior-result", "convex-combination", "I Q M", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("thm3.1", "core-result", "ratio-bound", "M C", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("thm3.2", "core-result", "ratio-bound", "M", (+1.0, "far")),
-    RecordSpec("thm3.3", "core-result", "convex-combination", "Q M Cbar", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("thm3.4", "core-result", "convex-combination", "C M Q", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("cor3.1", "core-result", "additive-gap", "C M", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("cor3.2", "core-result", "additive-gap", "Cbar M", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("neuman-QA", "prior-result", "difference-ratio", "M-A / Q-A", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("neuman-CA", "prior-result", "difference-ratio", "M-A / C-A", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("zhao-HQ", "prior-result", "difference-ratio", "M-Q / H-Q", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("zhao-GQ", "prior-result", "difference-ratio", "M-Q / G-Q", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("zhao-HC", "prior-result", "difference-ratio", "M-C / H-C", (-1.0, "far"), (+1.0, "near")),
+    RecordSpec("identric-IQ", "prior-result", "difference-ratio", "M-Q / I-Q", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("thm3.1", "core-result", "difference-ratio", "M-C / CH", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("thm3.2", "core-result", "difference-ratio", "M / CH", (+1.0, "far")),
+    RecordSpec("thm3.3", "core-result", "difference-ratio", "Cbar-M / Q-M", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("thm3.4", "core-result", "difference-ratio", "Q-M / C-M", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("cor3.1", "core-result", "difference-ratio", "C-M / CH", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("cor3.2", "core-result", "difference-ratio", "Cbar-M / CH", (+1.0, "near"), (-1.0, "far")),
     RecordSpec("chain", "classical-ordering", "chain", "G L P A M T Q"),
     RecordSpec("lp0-l2", "core-result", "exponent-window", "M", (+1.0, "far"), 2.0),
-    RecordSpec("amt", "classical-ordering", "sandwich", "A M T"),
+    RecordSpec("amt", "classical-ordering", "difference-ratio", "M-A / T-A", 0.0, 1.0),
     RecordSpec("product", "classical-ordering", "product-bound", "A M T"),
     RecordSpec("kyfan", "classical-ordering", "ky-fan-chain", "G L P A M T"),
 )
@@ -317,11 +302,15 @@ def _side(spec: RecordSpec, side: str):
     return None, float(given), format_float(given), None
 
 
+def _kernel(symbol: str | None) -> Callable | None:
+    return None if symbol is None else ch_difference if symbol == "CH" else MEANS[symbol].kernel
+
+
 def build_record(spec: RecordSpec) -> InequalityRecord:
     """Bind a spec's kernels, constants and probes into a record."""
     form = _FORMS[spec.form]
-    symbols = spec.means.split()
-    kernels = tuple(MEANS[s].kernel for s in symbols)
+    symbols = form.symbols(spec.means)
+    kernels = tuple(_kernel(s) for s in symbols)
     lo_const, lo_default, lo_text, lo_probe = _side(spec, "lower")
     up_const, up_default, up_text, up_probe = _side(spec, "upper")
 

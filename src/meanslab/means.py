@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "TAU_P",
     "TAU_SERIES",
     "MEANS",
     "Mean",
@@ -51,10 +50,9 @@ __all__ = [
 # t/asinh(t) is replaced by its even Taylor polynomial.
 TAU_SERIES = 1e-4
 
-# Half-width of the parameter window around p = 0 in which the generalized
-# logarithmic mean uses its identric limit branch: the closed form raises a
-# quotient to the power 1/p and loses roughly |p|⁻¹-amplified digits there.
-TAU_P = 1e-6
+# Below this |p| (p != 0) the generalized logarithmic mean takes its small-order
+# lane, where the general form would raise a quotient near 1 to the power 1/p.
+_SMALL_P = 1e-2
 
 
 @dataclass(frozen=True)
@@ -208,17 +206,18 @@ def neuman_sandor(a, b):
 def generalized_logarithmic(p, a, b):
     """The generalized logarithmic mean L_p(a, b).
 
-    Three branches on the order:
+    Four branches on the order, in the reduced variable d = (hi - lo)/lo:
 
-    * ``|p| < TAU_P``        — identric limit (1/e)·(b^b/a^a)^(1/(b-a));
+    * ``p == 0``             — identric mean (1/e)·(b^b/a^a)^(1/(b-a));
     * ``p == -1``            — logarithmic mean (b - a)/(ln b - ln a);
+    * ``|p| < 1e-2``         — lo·exp((log1p(x) - log1p(p))/p), x = (1+d)·expm1(p·log1p(d))/d;
     * otherwise              — [(b^(p+1) - a^(p+1))/((p+1)(b-a))]^(1/p).
 
-    The general branch works on the reduced variable d = (hi - lo)/lo, with
-    z = (p+1)·log1p(d); when z is large enough to overflow expm1 it moves to
-    log space.  Pairs with hi/lo > 1e300, where d or its products overflow,
-    are evaluated from logarithms instead (``_glog_far``).  Equal arguments
-    return the common value for every p.
+    The third is the fourth rewritten exactly.  In the fourth z = (p+1)·log1p(d);
+    when z is large enough to overflow expm1 it moves to log space.  Pairs
+    with hi/lo > 1e300, where d or its products overflow, are evaluated from
+    logarithms instead (``_glog_far``).  Equal arguments return the common
+    value for every p.
     """
     p = float(p)
     if not math.isfinite(p):
@@ -232,9 +231,15 @@ def generalized_logarithmic(p, a, b):
     d = (hi - lo) / lo
     dd = np.where(d == 0.0, 1.0, d)
 
-    if abs(p) < TAU_P:
+    if p == 0.0:
         u = np.log1p(d)
         expo = np.where(d == 0.0, 0.0, (1.0 + d) * u / dd - 1.0)
+        return _ret(lo * np.exp(expo))
+
+    if abs(p) < _SMALL_P:
+        # (p+1)·(L/lo)^p = ((1+d)^(p+1) - 1)/d = 1 + x
+        x = (1.0 + d) * np.expm1(p * np.log1p(d)) / dd
+        expo = np.where(d == 0.0, 0.0, (np.log1p(x) - math.log1p(p)) / p)
         return _ret(lo * np.exp(expo))
 
     if p == -1.0:
@@ -246,7 +251,7 @@ def generalized_logarithmic(p, a, b):
     big = z > 500.0
     zs = np.where(big, 1.0, z)
     ratio = np.expm1(zs) / ((p + 1.0) * dd)
-    ratio = np.where(ratio <= 0.0, 1.0, ratio)  # masked lanes only
+    ratio = np.where(big | (ratio <= 0.0), 1.0, ratio)  # masked lanes only
     plain = np.power(ratio, 1.0 / p)
     zb = np.where(big, z, 1.0)
     # Feed neutral values into the lanes the final where() discards: z > 500
@@ -262,9 +267,13 @@ def _glog_far(p, hi, lo):
     # L_p from log hi, log lo and log(hi - lo), for hi/lo too large to form.
     log_lo = np.log(lo)
     ell = np.log(hi) - log_lo
-    if abs(p) < TAU_P:
+    if p == 0.0:
         # log I = log hi - 1 + lo·ln(hi/lo)/(hi - lo)
         return hi * np.exp(lo * ell / (hi - lo) - 1.0)
+    if abs(p) < _SMALL_P:
+        # (p+1)·(L/lo)^p = X^p·(1 - X^-(p+1))/(1 - 1/X) with X = hi/lo > 1e300:
+        # both correction factors are within 1e-297 of 1, so L = hi·(p+1)^(-1/p)
+        return hi * math.exp(-math.log1p(p) / p)
     if p == -1.0:
         return (hi - lo) / ell
     # L_p = lo·[(X^(p+1) - 1)/((p+1)(X - 1))]^(1/p) with X = hi/lo, where

@@ -19,8 +19,8 @@ from meanslab import (
     verify,
     verify_random,
 )
-from meanslab.catalog import RecordSpec, build_record
-from meanslab.means import arithmetic, centroidal, ch_difference, contraharmonic, harmonic
+from meanslab.catalog import SPECS, RecordSpec, build_record
+from meanslab.means import MEANS, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
 
 EXPECTED_IDS = {
     "neuman-QA", "neuman-CA", "zhao-HQ", "zhao-GQ", "zhao-HC", "identric-IQ",
@@ -153,15 +153,89 @@ def test_margins_scale_with_their_homogeneity_degree(lam):
                 rec.id, side)
 
 
-def test_neuman_ca_margins_are_ch_times_the_ratio_margins():
-    # algebraically, the convex-combination margins of the C/A record are
-    # exactly CH times the (M-C)/CH ratio margins
-    for pair in ((3.0, 1.0), (10.0, 1.0), (1.5, 1.0), (100.0, 7.0)):
-        ca = record("neuman-CA").margins(*pair)
+PAIRS = ((3.0, 1.0), (10.0, 1.0), (1.5, 1.0), (100.0, 7.0))
+QUOTIENT_RECORDS = [spec for spec in SPECS if spec.form == "difference-ratio"]
+NEGATIVE_DENOMINATORS = {"zhao-HQ", "zhao-GQ", "zhao-HC", "identric-IQ"}
+
+
+def _difference(text, means, ch, a, b):
+    # "Z-Y", "Z" or "CH" from the given means table and CH function
+    terms = [ch(a, b) if s == "CH" else means[s](a, b) for s in text.strip().split("-")]
+    return terms[0] - terms[1] if len(terms) == 2 else terms[0]
+
+
+def test_quotient_records_are_thirteen_over_five_forms():
+    assert len(QUOTIENT_RECORDS) == 13
+    assert len({spec.form for spec in SPECS}) == 5
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_RECORDS, ids=lambda spec: spec.id)
+def test_quotient_margins_match_the_oracle_quotient(spec):
+    # each margin is sign(D)·(R - c) for R = N/D, in the constant's own units
+    constants = hp_oracles.constants()
+    bounds = {}
+    for side in ("lower", "upper"):
+        given = getattr(spec, side)
+        if given is not None:
+            bounds[side] = constants[f"{spec.id}.{side}"] if isinstance(given, tuple) else given
+    rec = record(spec.id)
+    for a, b in PAIRS:
+        with mp.workdps(hp_oracles.DPS):
+            num, den = (_difference(part, hp_oracles.MEANS, hp_oracles.ch_diff, a, b)
+                        for part in spec.means.split("/"))
+            ratio = num / den
+            want = {side: mp.sign(den) * (ratio - c if side == "lower" else c - ratio)
+                    for side, c in bounds.items()}
+        got = rec.margins(a, b)
+        for side, value in want.items():
+            assert float(getattr(got, side)) == pytest.approx(float(value), rel=1e-10), (side, a, b)
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_RECORDS, ids=lambda spec: spec.id)
+def test_quotient_denominator_keeps_one_sign(spec):
+    rng = np.random.default_rng(42)
+    ratio = 10.0 ** rng.uniform(0.0, 8.0, 100_000)
+    b = 10.0 ** rng.uniform(-3.0, 3.0, 100_000)
+    kernels = {s: mean.kernel for s, mean in MEANS.items()}
+    den = _difference(spec.means.split("/")[1], kernels, ch_difference, ratio * b, b)
+    expected = -1.0 if spec.id in NEGATIVE_DENOMINATORS else 1.0
+    assert np.all(np.sign(den) == expected)
+
+
+def test_identities_between_records_in_the_quotient_unit():
+    # (M-A)/(C-A) = 2(M-C)/CH + 1 and (M-C)/(H-C) = -(M-C)/CH, so neuman-CA is
+    # twice thm3.1 and zhao-HC is thm3.1; (C-M)/CH = -(M-C)/CH and
+    # (Cbar-M)/CH = (C-M)/CH - 1/3, so both corollaries are thm3.1 with the
+    # sides swapped
+    for pair in PAIRS:
         t31 = record("thm3.1").margins(*pair)
-        ch = ch_difference(*pair)
-        assert float(ca.lower) == pytest.approx(ch * float(t31.lower), rel=1e-12)
-        assert float(ca.upper) == pytest.approx(ch * float(t31.upper), rel=1e-12)
+        ca = record("neuman-CA").margins(*pair)
+        hc = record("zhao-HC").margins(*pair)
+        c31 = record("cor3.1").margins(*pair)
+        c32 = record("cor3.2").margins(*pair)
+        for side in ("lower", "upper"):
+            t = float(getattr(t31, side))
+            assert float(getattr(ca, side)) == pytest.approx(2.0 * t, rel=1e-11), pair
+            assert float(getattr(hc, side)) == pytest.approx(t, rel=1e-11), pair
+        assert float(c31.lower) == float(t31.upper)
+        assert float(c31.upper) == float(t31.lower)
+        assert float(c32.lower) == pytest.approx(float(t31.upper), rel=1e-11), pair
+        assert float(c32.upper) == pytest.approx(float(t31.lower), rel=1e-11), pair
+
+
+def test_a_denominator_that_rounds_to_zero_gives_indeterminate_margins():
+    # T - A rounds to 0 at a/b = 1 + 2^-30; no division by zero, no warning
+    pair = PositivePair(1.0 + 2.0**-30, 1.0)
+    m = verify("amt", pair)
+    assert (m.lower, m.upper) == (0.0, 0.0)
+    assert m.lower_state == m.upper_state == "indeterminate"
+    for rec_id in ("neuman-QA", "zhao-HQ"):
+        m = verify(rec_id, pair)
+        assert m.lower_state == m.upper_state == "indeterminate", rec_id
+    a = np.array([1.0 + 2.0**-30, 3.0])
+    sample = record("amt").margins(a, np.ones(2))
+    assert sample.lower[0] == sample.upper[0] == 0.0
+    assert sample.lower[1] > 0.0 and sample.upper[1] > 0.0
 
 
 def test_linear_relations_between_quadratic_means():

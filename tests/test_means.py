@@ -212,6 +212,24 @@ def test_glog_next_to_the_logarithmic_mean_matches_oracle(p):
         assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12), r
 
 
+@pytest.mark.parametrize("p", [9e-7, -9e-7, 2e-6, -2e-6, 1e-5, -1e-5, 1e-3, -1e-3])
+def test_glog_next_to_the_identric_mean_matches_oracle(p):
+    # only p = 0 itself takes the identric branch; small orders take the
+    # log1p/expm1 rewrite, near and far lanes alike
+    for r in (1.0 + 1e-8, 1.5, 1e4, 1e8, 1e100, 1e305):
+        ref = float(hp_oracles.glog(p, r, 1.0))
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12), r
+
+
+@pytest.mark.parametrize("p", [-0.05, -0.02])
+def test_glog_log_space_lane_takes_no_power_of_its_masked_quotient(p):
+    # z = (p+1)·log1p(d) > 500 moves to log space; the 1/p power of the
+    # unused tiny quotient there would overflow and warn for p < 0
+    for r in (1e150, 1e250, 1e299):
+        ref = float(hp_oracles.glog(p, r, 1.0))
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-11), r
+
+
 P0 = 1.8435205184311405  # lp0-l2.lower, the critical exponent
 
 
