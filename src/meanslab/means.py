@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "TAU_SERIES",
     "MEANS",
     "Mean",
     "PositivePair",
@@ -45,15 +44,6 @@ __all__ = [
     "ch_difference",
     "parse",
 ]
-
-# Below this value of t = (hi - lo)/(hi + lo) the Neuman–Sándor quotient
-# t/asinh(t) is replaced by its even Taylor polynomial.
-TAU_SERIES = 1e-4
-
-# Below this |p| (p != 0) the generalized logarithmic mean takes its small-order
-# lane, where the general form would raise a quotient near 1 to the power 1/p.
-_SMALL_P = 1e-2
-
 
 @dataclass(frozen=True)
 class PositivePair:
@@ -187,37 +177,38 @@ def second_seiffert(a, b):
 
 
 def neuman_sandor(a, b):
-    """The mean (a - b)/(2 asinh t) with t = (a - b)/(a + b).
+    """(a - b)/(2 asinh t) with t = (a - b)/(a + b); value a when a = b.
 
-    For t below ``TAU_SERIES`` the quotient t/asinh(t) switches to its even
-    Taylor polynomial 1 + t²/6 - 17t⁴/360 + 367t⁶/15120; the omitted t⁸
-    term is ~1e-34 at the switch point, far below double rounding.
+    The quotient t/asinh(t) does not cancel as t -> 0, so like the Seiffert
+    means it is evaluated as written down to the smallest t.
     """
     hi, lo = _canon(a, b)
     t = _half_gap(hi, lo)
-    small = t < TAU_SERIES
-    x2 = np.square(np.where(small, t, 0.0))
-    series = 1.0 + x2 * (1.0 / 6.0 + x2 * (-17.0 / 360.0 + x2 * (367.0 / 15120.0)))
-    ts = np.where(small, 0.5, t)
-    quotient = ts / np.arcsinh(ts)
-    return _ret(0.5 * (hi + lo) * np.where(small, series, quotient))
+    ts = np.where(t == 0.0, 0.5, t)
+    quotient = np.where(t == 0.0, 1.0, ts / np.arcsinh(ts))
+    return _ret(0.5 * (hi + lo) * quotient)
+
+
+def _log_f(x):
+    # f(x) = ln((1 - e^-x)/x) for x > 0, the log of L_p's quotient in u
+    return np.log(-np.expm1(-x) / x)
 
 
 def generalized_logarithmic(p, a, b):
-    """The generalized logarithmic mean L_p(a, b).
+    """The generalized logarithmic mean L_p(a, b) = [(b^(p+1) - a^(p+1))/((p+1)(b-a))]^(1/p).
 
-    Four branches on the order, in the reduced variable d = (hi - lo)/lo:
+    Its limits are the identric mean I = L_0 and the logarithmic mean L_-1.
+    In u = ln(hi/lo) the formula is exactly L_p = B·exp((f(|p+1|·u) - f(u))/p)
+    with f from ``_log_f``, f(0) = 0, and the anchor B = hi for p >= -1,
+    hi^(-1/p)·lo^((p+1)/p) for p < -1.  The exponent stays small, so nothing
+    overflows up to hi/lo = 1.8e308.  Three lanes evaluate it:
 
-    * ``p == 0``             — identric mean (1/e)·(b^b/a^a)^(1/(b-a));
-    * ``p == -1``            — logarithmic mean (b - a)/(ln b - ln a);
-    * ``|p| < 1e-2``         — lo·exp((log1p(x) - log1p(p))/p), x = (1+d)·expm1(p·log1p(d))/d;
-    * otherwise              — [(b^(p+1) - a^(p+1))/((p+1)(b-a))]^(1/p).
+    * ``p == 0``        — ln(I/hi) = u·e^-u/(1 - e^-u) - 1;
+    * ``0 < |p| < 1/2`` — where the f terms cancel: (p+1)·(L/hi)^p = 1 + y with
+      y = sign(p)·e^(-u(1 + min(p, 0)))·expm1(-|p|u)/expm1(-u);
+    * otherwise         — the formula itself; p = -1 is its f(0) term.
 
-    The third is the fourth rewritten exactly.  In the fourth z = (p+1)·log1p(d);
-    when z is large enough to overflow expm1 it moves to log space.  Pairs
-    with hi/lo > 1e300, where d or its products overflow, are evaluated from
-    logarithms instead (``_glog_far``).  Equal arguments return the common
-    value for every p.
+    Equal arguments return the common value for every p.
     """
     p = float(p)
     if not math.isfinite(p):
@@ -225,64 +216,24 @@ def generalized_logarithmic(p, a, b):
     hi, lo = _canon(a, b)
     far = hi * 1e-300 > lo
     if far.any():
-        # each lane set gets neutral inputs where the final where() drops its result
-        rest = generalized_logarithmic(p, np.where(far, 1.0, hi), np.where(far, 1.0, lo))
-        return _ret(np.where(far, _glog_far(p, np.where(far, hi, 2.0), np.where(far, lo, 1.0)), rest))
-    d = (hi - lo) / lo
-    dd = np.where(d == 0.0, 1.0, d)
-
+        # hi/lo may not be representable there; the masked lanes divide by hi
+        u = np.where(far, np.log(hi) - np.log(lo), np.log1p((hi - lo) / np.where(far, hi, lo)))
+    else:
+        u = np.log1p((hi - lo) / lo)
+    us = np.where(u == 0.0, 1.0, u)  # equal arguments: dropped by the last where()
+    anchor = hi
     if p == 0.0:
-        u = np.log1p(d)
-        expo = np.where(d == 0.0, 0.0, (1.0 + d) * u / dd - 1.0)
-        return _ret(lo * np.exp(expo))
-
-    if abs(p) < _SMALL_P:
-        # (p+1)·(L/lo)^p = ((1+d)^(p+1) - 1)/d = 1 + x
-        x = (1.0 + d) * np.expm1(p * np.log1p(d)) / dd
-        expo = np.where(d == 0.0, 0.0, (np.log1p(x) - math.log1p(p)) / p)
-        return _ret(lo * np.exp(expo))
-
-    if p == -1.0:
-        u = np.log1p(d)
-        quotient = np.where(d == 0.0, 1.0, d / np.where(u == 0.0, 1.0, u))
-        return _ret(lo * quotient)
-
-    z = (p + 1.0) * np.log1p(d)
-    big = z > 500.0
-    zs = np.where(big, 1.0, z)
-    ratio = np.expm1(zs) / ((p + 1.0) * dd)
-    ratio = np.where(big | (ratio <= 0.0), 1.0, ratio)  # masked lanes only
-    plain = np.power(ratio, 1.0 / p)
-    zb = np.where(big, z, 1.0)
-    # Feed neutral values into the lanes the final where() discards: z > 500
-    # forces p + 1 > 0, so the log argument is positive wherever it is used.
-    denom = np.where(big, (p + 1.0) * dd, 1.0)
-    log_ratio = zb + np.log1p(-np.exp(-zb)) - np.log(denom)
-    overflowing = np.exp(np.where(big, log_ratio, 0.0) / p)
-    quotient = np.where(d == 0.0, 1.0, np.where(big, overflowing, plain))
-    return _ret(lo * quotient)
-
-
-def _glog_far(p, hi, lo):
-    # L_p from log hi, log lo and log(hi - lo), for hi/lo too large to form.
-    log_lo = np.log(lo)
-    ell = np.log(hi) - log_lo
-    if p == 0.0:
-        # log I = log hi - 1 + lo·ln(hi/lo)/(hi - lo)
-        return hi * np.exp(lo * ell / (hi - lo) - 1.0)
-    if abs(p) < _SMALL_P:
-        # (p+1)·(L/lo)^p = X^p·(1 - X^-(p+1))/(1 - 1/X) with X = hi/lo > 1e300:
-        # both correction factors are within 1e-297 of 1, so L = hi·(p+1)^(-1/p)
-        return hi * math.exp(-math.log1p(p) / p)
-    if p == -1.0:
-        return (hi - lo) / ell
-    # L_p = lo·[(X^(p+1) - 1)/((p+1)(X - 1))]^(1/p) with X = hi/lo, where
-    # log|X^(p+1) - 1| = max(z, 0) + log(-expm1(-|z|)) for z = (p+1)·ln X;
-    # expm1 keeps the last factor accurate when p is close to -1 and z is small.
-    z = (p + 1.0) * ell
-    log_gap = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
-    log_quotient = log_gap - math.log(abs(p + 1.0)) - (np.log(hi - lo) - log_lo)
-    return np.exp(log_lo + log_quotient / p)
+        expo = us * np.exp(-us) / -np.expm1(-us) - 1.0
+    elif abs(p) < 0.5:
+        ratio = np.expm1(-abs(p) * us) / np.expm1(-us)
+        y = math.copysign(1.0, p) * np.exp(-us * (1.0 + min(p, 0.0))) * ratio
+        expo = (np.log1p(y) - math.log1p(p)) / p
+    else:
+        f_q = _log_f(abs(p + 1.0) * us) if p != -1.0 else 0.0
+        expo = (f_q - _log_f(us)) / p
+        if p < -1.0:
+            anchor = np.power(hi, -1.0 / p) * np.power(lo, (p + 1.0) / p)
+    return _ret(np.where(u == 0.0, hi, anchor * np.exp(expo)))
 
 
 def ch_difference(a, b):

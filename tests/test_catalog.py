@@ -323,6 +323,18 @@ def test_probe_witnesses_sit_at_the_right_endpoints():
     assert lower.witness[0] > 1e4  # extreme-ratio pair
 
 
+@pytest.mark.parametrize("epsilon,steps", [(1e-6, 20), (1e-9, 29)])
+def test_lp0_l2_probe_margin_matches_the_oracle(epsilon, steps):
+    # the paper's sharp exponent: M - L_{p0 + eps} at the far witness, to
+    # within 1e-15 M of its 50-digit value
+    (result,) = (r for r in sharpness_probe("lp0-l2", epsilon) if r.side == "lower")
+    assert (result.witness, result.steps) == ((2.0**steps, 1.0), steps)
+    a, b = result.witness
+    m = hp_oracles.neuman(a, b)
+    want = m - hp_oracles.glog(result.tightened, a, b)
+    assert abs(result.margin - float(want)) <= 1e-15 * float(m)
+
+
 def test_tightened_lower_bound_fails_at_extreme_ratio():
     # tightening the lower ratio bound is violated by a/b ~ 1e8 directly
     rec = record("thm3.1")
