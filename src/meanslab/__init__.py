@@ -18,6 +18,7 @@ from .catalog import (
     record,
     sharpness_probe,
     verify,
+    verify_all,
     verify_random,
 )
 from .constants import SharpConstant, constant, expr_value, sharp_constants, solve_p0
@@ -108,5 +109,6 @@ __all__ = [
     "solve_p0",
     "substitution_theta",
     "verify",
+    "verify_all",
     "verify_random",
 ]

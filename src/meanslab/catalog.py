@@ -9,11 +9,14 @@ best-possible weights or bounds.  Thirteen records are the paper's linear
 relations between differences of means, ``alpha*(X - W) < Z - Y <
 beta*(X - W)`` (``X - W`` may be ``CH``): their margins are ``R - alpha`` and
 ``beta - R`` times the sign of ``X - W``, for ``R = (Z - Y)/(X - W)``, in the
-constant's own units.  Three things can be done with a record:
+constant's own units.  Three things can be done with records:
 
-* :func:`verify` — evaluate the margins on one pair;
-* :func:`verify_random` — sample many pairs (log-uniform in the ratio a/b,
+* :func:`verify` — evaluate one record's margins on one pair;
+* :func:`verify_all` — sample many pairs (log-uniform in the ratio a/b,
   which is where sharpness lives) and aggregate minima and witnesses;
+  records that share a sampler share one draw and are evaluated block by
+  block, each mean computed once per block for all of them
+  (:func:`verify_random` is the one-record call);
 * :func:`sharpness_probe` — tighten a sharp constant by ε and hunt for a
   violating pair near the endpoint where the constant is attained, which
   demonstrates that the constant cannot be improved.
@@ -50,6 +53,7 @@ __all__ = [
     "catalog",
     "record",
     "verify",
+    "verify_all",
     "verify_random",
     "sharpness_probe",
 ]
@@ -57,6 +61,11 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _NOISE_FACTOR = 100.0
 _PROBE_STEPS = 64
+# Pairs per block of verify_all, small enough that a block's mean values and
+# temporaries stay in cache.  verify-all at 1e6 pairs on a 2-core Xeon took
+# 0.91 s at 2^14, 0.96 s at 2^13, 1.04 s at 2^15, 1.27 s at 2^12 and 1.25 s
+# at 2^16 (median of three rounds of three passes).
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,9 @@ class InequalityRecord:
     ``kind`` separates the package's core sharp results from the previously
     known bounds and classical orderings carried along for cross-checking.
     The form fixes the homogeneity degree, the sampler and the domain; see
-    the properties below.
+    the properties below.  ``margin_fn`` computes the margins on a pair (for
+    :func:`verify` and the probes), ``means_fn`` from a lookup of mean values
+    that records can share (for :func:`verify_all`).
     """
 
     id: str
@@ -105,6 +116,7 @@ class InequalityRecord:
     upper: SharpConstant | None
     probes: tuple[ProbeSpec, ...] = ()
     margin_fn: Callable = field(default=None, repr=False, compare=False)
+    means_fn: Callable = field(default=None, repr=False, compare=False)
 
     @property
     def homogeneity_degree(self) -> int | None:
@@ -138,24 +150,39 @@ class InequalityRecord:
 # forms
 #
 # A form takes the record's kernels, in the order its spec lists the means,
-# a pair (or arrays of pairs) and the two bounds in force (None where the
-# record has no bound on that side), and returns the signed margins.
+# a lookup of the mean values on a pair (or arrays of pairs) and the two
+# bounds in force (None where the record has no bound on that side), and
+# returns the signed margins.
 
 
-def _quotient(kernels, a, b, lo, up):
+class _Means(dict):
+    """Mean values on one batch of pairs ``(a, b)``, keyed by kernel: each
+    kernel is evaluated at most once, when a form first asks for it."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __missing__(self, kernel):
+        value = self[kernel] = kernel(self.a, self.b)
+        return value
+
+
+def _quotient(kernels, means, lo, up):
     # lo*(X - W) < Z - Y < up*(X - W) on R = (Z - Y)/(X - W), an absent Y or W
     # being 0.  R carries cancellation noise of order (Z + Y + X + W)/|X - W|
     # ulp; CH is computed without cancellation, so it adds none.
-    values = {k: k(a, b) for k in dict.fromkeys(kernels) if k is not None}
+    values = {k: means[k] for k in dict.fromkeys(kernels) if k is not None}
     z, y, x, w = (values.get(k, 0.0) for k in kernels)
     num, den = z - y, x - w
-    means = [v for k, v in values.items() if k is not ch_difference]  # positive: no abs()
+    positive = [v for k, v in values.items() if k is not ch_difference]  # means: no abs()
     zero = den == 0.0
     masked = np.count_nonzero(zero)  # X - W rounded to 0 leaves R unknown: margins 0
     if masked:
         den = np.where(zero, 1.0, den)
     ratio, sign = num / den, np.sign(den)
-    scale = sum(means[1:], means[0]) / abs(den) + 1.0
+    scale = sum(positive[1:], positive[0]) / abs(den) + 1.0
 
     def margin(m):
         return np.where(zero, 0.0, sign * m) if masked else sign * m
@@ -173,33 +200,32 @@ def _ordered(values):
     return MarginSample(gaps.min(axis=0), None, scale, None)
 
 
-def _chain(kernels, a, b, lo, up):
-    return _ordered([k(a, b) for k in kernels])
+def _chain(kernels, means, lo, up):
+    return _ordered([means[k] for k in kernels])
 
 
-def _ky_fan(kernels, a, b, lo, up):
-    # the chain of X/X' with X' = X(1-a, 1-b)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a2 = 1.0 - a
-    b2 = 1.0 - b
-    return _ordered([k(a, b) / k(a2, b2) for k in kernels])
+def _ky_fan(kernels, means, lo, up):
+    # the chain of X/X' with X' = X(1-a, 1-b); the reflected pair is not the
+    # lookup's pair, so its values are computed here and not kept
+    a2 = 1.0 - np.asarray(means.a, dtype=np.float64)
+    b2 = 1.0 - np.asarray(means.b, dtype=np.float64)
+    return _ordered([means[k] / k(a2, b2) for k in kernels])
 
 
-def _product(kernels, a, b, lo, up):
+def _product(kernels, means, lo, up):
     # X*Z < Y^2 < (X^2 + Z^2)/2
-    x, y, z = (k(a, b) for k in kernels)
+    x, y, z = (means[k] for k in kernels)
     y2 = y * y
     low_ref = x * z
     up_ref = 0.5 * (x * x + z * z)
     return MarginSample(y2 - low_ref, up_ref - y2, y2 + low_ref, y2 + up_ref)
 
 
-def _window(kernels, a, b, p, q):
+def _window(kernels, means, p, q):
     # L_p < X < L_q; the bounds in force are the exponents.
-    m = kernels[0](a, b)
-    below = generalized_logarithmic(p, a, b)
-    above = generalized_logarithmic(q, a, b)
+    m = means[kernels[0]]
+    below = generalized_logarithmic(p, means.a, means.b)
+    above = generalized_logarithmic(q, means.a, means.b)
     scale_lo = np.abs(m) + np.abs(below)
     scale_up = np.abs(m) + np.abs(above)
     return MarginSample(m - below, above - m, scale_lo, scale_up)
@@ -222,7 +248,7 @@ def _quotient_text(s, lo, up) -> str:
 
 
 class _Form(NamedTuple):
-    margins: Callable  # (kernels, a, b, lower bound, upper bound) -> MarginSample
+    margins: Callable  # (kernels, means, lower bound, upper bound) -> MarginSample
     text: Callable  # (symbols, lower text, upper text) -> statement
     degree: int | None = 1
     domain: str | None = None
@@ -314,10 +340,13 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
     lo_const, lo_default, lo_text, lo_probe = _side(spec, "lower")
     up_const, up_default, up_text, up_probe = _side(spec, "upper")
 
-    def margin_fn(a, b, lo_c, up_c):
+    def means_fn(means, lo_c, up_c):
         lo = lo_default if lo_c is None else lo_c
         up = up_default if up_c is None else up_c
-        return form.margins(kernels, a, b, lo, up)
+        return form.margins(kernels, means, lo, up)
+
+    def margin_fn(a, b, lo_c, up_c):
+        return means_fn(_Means(a, b), lo_c, up_c)
 
     return InequalityRecord(
         id=spec.id,
@@ -328,6 +357,7 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
         upper=up_const,
         probes=tuple(p for p in (lo_probe, up_probe) if p is not None),
         margin_fn=margin_fn,
+        means_fn=means_fn,
     )
 
 
@@ -358,10 +388,11 @@ _SIDES = ("lower", "upper")
 
 def _judge(margins, scales):
     """Masks of the margins that certify a failure and of those that certify
-    a pass; a margin within the noise threshold is in neither.  Takes arrays,
-    or floats for one pair, where numpy scalars would add per-call cost."""
+    a pass; a margin within the noise threshold is in neither (scales are not
+    negative, so a failure is a negative margin).  Takes arrays, or floats for
+    one pair, where numpy scalars would add per-call cost."""
     threshold = _NOISE_FACTOR * _EPS * scales
-    return (margins < 0.0) & (-margins > threshold), margins > threshold
+    return margins < -threshold, margins > threshold
 
 
 @dataclass(frozen=True)
@@ -423,8 +454,8 @@ class VerificationReport:
     passed: bool
 
 
-def _sample_pairs(rec: InequalityRecord, rng: np.random.Generator, count: int):
-    if rec.sampler == "unit-interval":
+def _sample_pairs(sampler: str, rng: np.random.Generator, count: int):
+    if sampler == "unit-interval":
         low, high = 1e-6, 0.5 - 1e-6
         a = rng.uniform(low, high, count)
         b = rng.uniform(low, high, count)
@@ -434,42 +465,83 @@ def _sample_pairs(rec: InequalityRecord, rng: np.random.Generator, count: int):
     return ratio * b, b
 
 
-def verify_random(rec, count: int, seed: int) -> VerificationReport:
-    """Run one record over ``count`` seeded random pairs and aggregate.
+class _Fold:
+    """One record's margins, folded block by block over a sample."""
+
+    def __init__(self, rec: InequalityRecord):
+        self.rec = rec
+        self.least = {}  # side -> (rank: the margin with NaN as +inf, margin, witness)
+        self.failures = self.indeterminate = 0
+
+    def add(self, means: _Means) -> None:
+        sample = self.rec.means_fn(means, None, None)
+        decided = True
+        for side in _SIDES:
+            m = getattr(sample, side)
+            if m is None:
+                continue
+            fail, ok = _judge(m, getattr(sample, f"{side}_scale"))
+            i = int(m.argmin())
+            if math.isnan(m[i]):  # argmin stops at the first NaN; rank NaN as +inf
+                i = int(np.where(np.isnan(m), np.inf, m).argmin())
+            rank = math.inf if math.isnan(m[i]) else float(m[i])
+            # strict: on a tie the earlier block keeps its witness, as argmin does
+            if side not in self.least or rank < self.least[side][0]:
+                self.least[side] = (rank, float(m[i]), (float(means.a[i]), float(means.b[i])))
+            self.failures += int(np.count_nonzero(fail))
+            decided = decided & (fail | ok)
+        self.indeterminate += decided.size - int(np.count_nonzero(decided))
+
+    def report(self, count: int, seed: int) -> VerificationReport:
+        sides = dict.fromkeys(("min_lower_margin", "lower_witness", "min_upper_margin", "upper_witness"))
+        for side, (_, margin, witness) in self.least.items():
+            sides[f"min_{side}_margin"] = margin
+            sides[f"{side}_witness"] = witness
+        return VerificationReport(
+            self.rec.id,
+            count,
+            seed,
+            failures=self.failures,
+            indeterminate=self.indeterminate,
+            passed=self.failures == 0,
+            **sides,
+        )
+
+
+def verify_all(records, count: int, seed: int) -> tuple[VerificationReport, ...]:
+    """Run each record over ``count`` seeded random pairs and aggregate.
 
     Sampling is log-uniform in the ratio a/b over (1, 1e8] with a random
     decade scale (the Ky Fan record instead draws both arguments uniformly
-    from its stated domain).  ``passed`` means no sample produced a margin
-    that is negative beyond the rounding-noise threshold.
+    from its stated domain); each sampler draws once, from a generator
+    seeded with ``seed``, for all its records.  The pairs are then walked in
+    blocks, and within a block each mean is computed once for all the
+    records that read it.  ``passed`` means no sample produced a margin that
+    is negative beyond the rounding-noise threshold.  Returns one report per
+    record, in order.
     """
-    rec = _resolve(rec)
+    folds = [_Fold(_resolve(rec)) for rec in records]
     if count < 1:
         raise ParameterError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    a, b = _sample_pairs(rec, rng, int(count))
-    sample = rec.margins(a, b)
-    sides = dict.fromkeys(("min_lower_margin", "lower_witness", "min_upper_margin", "upper_witness"))
-    failures = 0
-    indeterminate = np.zeros(int(count), dtype=bool)
-    for side in _SIDES:
-        if getattr(sample, side) is None:
-            continue
-        m = getattr(sample, side)
-        fail, ok = _judge(m, getattr(sample, f"{side}_scale"))
-        i = int(np.where(np.isnan(m), np.inf, m).argmin())
-        sides[f"min_{side}_margin"] = float(m[i])
-        sides[f"{side}_witness"] = (float(a[i]), float(b[i]))
-        failures += int(fail.sum())
-        indeterminate |= ~(fail | ok)
-    return VerificationReport(
-        record_id=rec.id,
-        samples=int(count),
-        seed=int(seed),
-        failures=failures,
-        indeterminate=int(indeterminate.sum()),
-        passed=failures == 0,
-        **sides,
-    )
+    for sampler in dict.fromkeys(fold.rec.sampler for fold in folds):
+        _fold_sample([f for f in folds if f.rec.sampler == sampler], sampler, int(count), seed)
+    return tuple(fold.report(int(count), int(seed)) for fold in folds)
+
+
+def _fold_sample(folds, sampler: str, count: int, seed: int) -> None:
+    # One whole draw for the records of one sampler (drawn block by block,
+    # the random stream would differ), walked in blocks whose mean values
+    # all of them read.
+    a, b = _sample_pairs(sampler, np.random.default_rng(seed), count)
+    for start in range(0, count, _BLOCK):
+        means = _Means(a[start : start + _BLOCK], b[start : start + _BLOCK])
+        for fold in folds:
+            fold.add(means)
+
+
+def verify_random(rec, count: int, seed: int) -> VerificationReport:
+    """:func:`verify_all` of one record."""
+    return verify_all((rec,), count, seed)[0]
 
 
 # --------------------------------------------------------------------------

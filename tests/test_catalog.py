@@ -1,6 +1,8 @@
 """The inequality catalog: margins, random verification, scaling, sharpness."""
 
-from collections import Counter
+import importlib
+import math
+from collections import Counter, defaultdict
 
 import mpmath as mp
 import numpy as np
@@ -17,9 +19,18 @@ from meanslab import (
     sharp_constants,
     sharpness_probe,
     verify,
+    verify_all,
     verify_random,
 )
-from meanslab.catalog import SPECS, RecordSpec, build_record
+from meanslab.catalog import (
+    _BLOCK,
+    SPECS,
+    InequalityRecord,
+    MarginSample,
+    RecordSpec,
+    VerificationReport,
+    build_record,
+)
 from meanslab.means import MEANS, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
 
 EXPECTED_IDS = {
@@ -93,8 +104,8 @@ def test_ky_fan_domain_is_enforced():
 
 
 def test_verify_random_every_record_at_1e5():
-    for rec in catalog():
-        rep = verify_random(rec, 100_000, seed=42)
+    for rec, rep in zip(catalog(), verify_all(catalog(), 100_000, seed=42)):
+        assert rep.record_id == rec.id
         assert rep.passed, (rec.id, rep)
         assert rep.failures == 0
         assert rep.samples == 100_000
@@ -108,11 +119,13 @@ def test_verify_random_is_deterministic():
     assert c != a
 
 
+# two made-up chains: A < G fails on every pair, and M < M never clears the noise
+FALSE_CHAIN = build_record(RecordSpec("false-ag", "classical-ordering", "chain", "A G"))
+NOISE_CHAIN = build_record(RecordSpec("noise-mm", "classical-ordering", "chain", "M M"))
+
+
 def test_verify_random_single_sample_matches_verify():
-    # two made-up chains: A < G fails on every pair, and M < M never clears the noise
-    false_chain = build_record(RecordSpec("false-ag", "classical-ordering", "chain", "A G"))
-    noise_chain = build_record(RecordSpec("noise-mm", "classical-ordering", "chain", "M M"))
-    for rec in ("thm3.1", "neuman-QA", "chain", "lp0-l2", "thm3.2", false_chain, noise_chain):
+    for rec in ("thm3.1", "neuman-QA", "chain", "lp0-l2", "thm3.2", FALSE_CHAIN, NOISE_CHAIN):
         rep = verify_random(rec, 1, seed=3)
         pair = PositivePair(*rep.lower_witness)
         assert rep.upper_witness in (None, rep.lower_witness)
@@ -124,13 +137,133 @@ def test_verify_random_single_sample_matches_verify():
         assert rep.failures == states.count("fail")
         assert rep.indeterminate == int("indeterminate" in states)
         assert rep.passed == m.passed
-    assert verify(false_chain, PositivePair(3.0, 1.0)).lower_state == "fail"
-    assert verify(noise_chain, PositivePair(3.0, 1.0)).lower_state == "indeterminate"
+    assert verify(FALSE_CHAIN, PositivePair(3.0, 1.0)).lower_state == "fail"
+    assert verify(NOISE_CHAIN, PositivePair(3.0, 1.0)).lower_state == "indeterminate"
 
 
 def test_verify_random_validation():
     with pytest.raises(ParameterError):
         verify_random("thm3.1", 0, seed=1)
+    with pytest.raises(ParameterError):
+        verify_all(catalog(), 0, seed=1)
+
+
+# -------------------------------------------------------- fused verification
+
+
+def _whole_array_report(rec, count, seed):
+    # the aggregation verify_random did before blocks: its own draw, one
+    # margins call on the whole arrays, argmin with NaN as +inf
+    rng = np.random.default_rng(seed)
+    if rec.sampler == "unit-interval":
+        a = rng.uniform(1e-6, 0.5 - 1e-6, count)
+        b = rng.uniform(1e-6, 0.5 - 1e-6, count)
+    else:
+        ratio = 10.0 ** rng.uniform(0.0, 8.0, count)
+        b = 10.0 ** rng.uniform(-3.0, 3.0, count)
+        a = ratio * b
+    sample = rec.margins(a, b)
+    sides = dict.fromkeys(("min_lower_margin", "lower_witness", "min_upper_margin", "upper_witness"))
+    failures = 0
+    indeterminate = np.zeros(count, dtype=bool)
+    for side in ("lower", "upper"):
+        m = getattr(sample, side)
+        if m is None:
+            continue
+        noise = 100 * np.finfo(np.float64).eps * getattr(sample, f"{side}_scale")
+        fail, ok = (m < 0.0) & (-m > noise), m > noise
+        i = int(np.where(np.isnan(m), np.inf, m).argmin())
+        sides[f"min_{side}_margin"] = float(m[i])
+        sides[f"{side}_witness"] = (float(a[i]), float(b[i]))
+        failures += int(fail.sum())
+        indeterminate |= ~(fail | ok)
+    return VerificationReport(rec.id, count, seed, failures=failures,
+                              indeterminate=int(indeterminate.sum()), passed=failures == 0, **sides)
+
+
+def _made_up(rec_id, margin):
+    # a record whose lower margin is margin(a, b), with noise scale 1
+    def margin_fn(a, b, lo_c, up_c):
+        m = margin(np.asarray(a), np.asarray(b))
+        return MarginSample(m, None, np.ones_like(m), None)
+
+    return InequalityRecord(rec_id, "chain", rec_id, "classical-ordering", None, None,
+                            margin_fn=margin_fn,
+                            means_fn=lambda means, lo_c, up_c: margin_fn(means.a, means.b, lo_c, up_c))
+
+
+MADE_UP = (
+    # M < M has margins of 0 on every pair, so every block ties and the first
+    # pair must stay the witness
+    FALSE_CHAIN,
+    NOISE_CHAIN,
+    # NaN ranks as +inf: NaN below a/b = 1e4, tied decades above it
+    _made_up("nan-decades", lambda a, b: np.where(a < 1e4 * b, np.nan, np.floor(np.log10(a / b)))),
+    _made_up("all-nan", lambda a, b: np.full_like(a, np.nan)),
+)
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
+    records = catalog() + MADE_UP
+    fused = verify_all(records, count, seed)
+    assert [rep.record_id for rep in fused] == [rec.id for rec in records]
+    for rec, rep in zip(records, fused):
+        # repr: bitwise equal floats, NaN included
+        assert repr(rep) == repr(_whole_array_report(rec, count, seed)), rec.id
+    by_id = {rep.record_id: rep for rep in fused}
+    assert by_id["false-ag"].failures == count
+    assert by_id["noise-mm"].indeterminate == count
+    assert math.isnan(by_id["all-nan"].min_lower_margin)
+
+
+LOG_RATIO_MEANS = {"A", "G", "H", "Cbar", "C", "P", "T", "Q", "M", "I", "L", "CH"}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Records rebuilt over counting kernels; returns them and the (a, b) of
+    every call, by mean symbol."""
+    calls = defaultdict(list)
+
+    def counted(symbol, kernel):
+        def wrapper(a, b):
+            calls[symbol].append((a, b))
+            return kernel(a, b)
+        return wrapper
+
+    for symbol, mean in list(MEANS.items()):
+        monkeypatch.setitem(MEANS, symbol, mean._replace(kernel=counted(symbol, mean.kernel)))
+    module = importlib.import_module("meanslab.catalog")
+    monkeypatch.setattr(module, "ch_difference", counted("CH", ch_difference))
+    return [build_record(spec) for spec in SPECS], calls
+
+
+def test_each_mean_is_computed_once_per_block(kernel_calls):
+    records, calls = kernel_calls
+    log_ratio = [rec for rec in records if rec.sampler == "log-ratio"]
+    blocks = 3
+    verify_all(log_ratio, 2 * _BLOCK + 3, seed=1)
+    assert {symbol: len(c) for symbol, c in calls.items()} == dict.fromkeys(LOG_RATIO_MEANS, blocks)
+    # record by record, the same pairs cost 49 kernel calls
+    calls.clear()
+    a, b = np.full(4, 3.0), np.ones(4)
+    for rec in log_ratio:
+        rec.margins(a, b)
+    assert sum(len(c) for c in calls.values()) == 49
+
+
+def test_ky_fan_reflected_values_bypass_the_block_lookup(kernel_calls):
+    records, calls = kernel_calls
+    (kyfan,) = [rec for rec in records if rec.sampler == "unit-interval"]
+    verify_all([kyfan], 2 * _BLOCK + 3, seed=1)
+    assert set(calls) == {"G", "L", "P", "A", "M", "T"}
+    for symbol, pairs in calls.items():
+        # per block: the pair itself, then the reflected pair, freshly computed
+        assert len(pairs) == 2 * 3, symbol
+        for (a, b), (a2, b2) in zip(pairs[::2], pairs[1::2]):
+            assert np.array_equal(a2, 1.0 - a) and np.array_equal(b2, 1.0 - b), symbol
 
 
 # ---------------------------------------------------------------- scaling laws

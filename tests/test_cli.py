@@ -1,6 +1,7 @@
 """Command-line behavior: output contracts, formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -119,6 +120,15 @@ def test_machine_output_is_byte_identical_across_runs(capsys):
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
     assert first == second
+
+
+def test_verify_all_bytes_are_pinned(tmp_path):
+    # a change to sampling, blocking or the margins must name the bytes it moves
+    target = tmp_path / "verify-all.jsonl"
+    argv = ["verify-all", "--samples", "100000", "--seed", "42", "--format", "json-lines"]
+    assert run(argv + ["--output", str(target)]) == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "6905d177ab298522b3bb07925bbec8de7e17995fe187c7b90c2c07b48d34c693"
 
 
 def test_output_file_written_with_lf(tmp_path, capsys):

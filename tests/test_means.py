@@ -226,6 +226,15 @@ def test_glog_next_to_the_identric_mean_matches_oracle(p):
         assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12), r
 
 
+@pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e-290, -1e-290])
+def test_glog_at_tiny_orders_is_the_identric_mean(p):
+    # ln(L_p/I) is O(|p|·u²), far below an ulp here, so L_p is I in doubles;
+    # expm1(-|p|·u) of the small-order rewrite is subnormal at these orders
+    for r in (1.0 + 1e-12, 1.0 + 1e-6, 3.0, 1e8, 1e300):
+        ident = generalized_logarithmic(0.0, r, 1.0)
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ident, rel=1e-15), r
+
+
 @pytest.mark.parametrize("p", [-0.05, -0.02])
 def test_glog_log_space_lane_takes_no_power_of_its_masked_quotient(p):
     # z = (p+1)·log1p(d) > 500 moves to log space; the 1/p power of the
