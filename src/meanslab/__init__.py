@@ -8,7 +8,7 @@ vectorised margin checks and sharpness probes, and verifies the power
 series and monotonicity facts the bounds rest on.
 """
 
-from .catalog import (
+from .records import (
     InequalityRecord,
     Margins,
     ProbeResult,
@@ -50,7 +50,6 @@ from .ratios import (
     ScanVerdict,
     h_eval,
     identity_residuals,
-    m_to_ch_ratio,
     monotonicity_scan,
     substitution_theta,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "h_eval",
     "harmonic",
     "identity_residuals",
-    "m_to_ch_ratio",
     "monotonicity_scan",
     "neuman_sandor",
     "record",

@@ -17,10 +17,10 @@ import sys
 import mpmath as mp
 
 from . import reporting
-from .catalog import catalog, record, sharpness_probe, verify, verify_all, verify_random
 from .constants import sharp_constants, solve_p0
 from .errors import DomainError, NotApplicableError, ParameterError
 from .means import PositivePair, parse
+from .records import catalog, record, sharpness_probe, verify, verify_all, verify_random
 from .series import SeriesId, difference_sign_check
 
 

@@ -9,7 +9,8 @@ recording that the pair is degenerate so downstream ratio checks can skip it.
 The mean functions accept plain floats or NumPy arrays of the same shape and
 return the matching kind; scalar in, float out.  All of them normalise the
 operands to (hi, lo) order first, which makes symmetry exact at the bit
-level rather than merely up to rounding.
+level rather than merely up to rounding.  Most are A·φ(t) with A = (a + b)/2
+and t = |a - b|/(a + b); ``_mean_gap`` is the one place that forms A and t.
 
 ``MEANS`` is the one table of means: it maps each symbol the inequality
 catalog is written in to the label reports print, the names the command
@@ -93,7 +94,7 @@ def _canon(a, b):
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
     # lo <= hi, and a NaN reaches both: lo > 0 with hi finite covers lo too
-    if not ((lo > 0.0) & np.isfinite(hi)).all():
+    if not (_least(lo) > 0.0 and _most(hi) < math.inf):
         raise DomainError("mean arguments must be positive finite reals")
     return hi, lo
 
@@ -102,15 +103,39 @@ def _ret(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _half_gap(hi, lo):
-    # t = (hi - lo)/(hi + lo), the scale-free half-gap in [0, 1).
-    return (hi - lo) / (hi + lo)
+def _most(x):
+    # x.max() with no temporary array; read directly when 0-d (one pair), where it is cheaper
+    return x.max(initial=-math.inf) if x.ndim else x
+
+
+def _least(x):
+    return x.min(initial=math.inf) if x.ndim else x
+
+
+# Past _TOP, hi + lo and hypot(hi, lo) can overflow; below _TINY a double is subnormal.
+_TOP, _TINY = 2.0**1022, 2.0**-1022
+
+
+def _mean_gap(hi, lo, mean=True, gap=True):
+    """(A, t) of an ordered pair of floats or arrays: A = (hi + lo)/2 and the
+    half-gap t = (hi - lo)/(hi + lo) in [0, 1]; a part not asked for is None.
+
+    An element with hi > 2^1022 takes both from its halved pair, which is
+    exact and keeps the sum finite; the others keep the formulas as written.
+    """
+    half = 0.5
+    if _most(hi) > _TOP:
+        top = hi > _TOP
+        hi, lo = np.where(top, 0.5 * hi, hi), np.where(top, 0.5 * lo, lo)
+        half = np.where(top, 1.0, half)
+    s = hi + lo
+    return half * s if mean else None, (hi - lo) / s if gap else None
 
 
 def arithmetic(a, b):
     """(a + b)/2."""
     hi, lo = _canon(a, b)
-    return _ret(0.5 * (hi + lo))
+    return _ret(_mean_gap(hi, lo, gap=False)[0])
 
 
 def geometric(a, b):
@@ -121,29 +146,40 @@ def geometric(a, b):
 
 
 def harmonic(a, b):
-    """2ab/(a + b)."""
+    """2ab/(a + b) as hi·(lo/A), or as lo·(hi/A) where lo/A is subnormal (a/b past 1e308)."""
     hi, lo = _canon(a, b)
-    return _ret(hi * (2.0 * lo / (hi + lo)))
+    mean = _mean_gap(hi, lo, gap=False)[0]
+    q = lo / mean
+    return _ret(np.where(q < _TINY, lo * (hi / mean), hi * q) if _least(q) < _TINY else hi * q)
 
 
 def centroidal(a, b):
     """2(a² + ab + b²)/(3(a + b)), evaluated as A·(1 + t²/3)."""
     hi, lo = _canon(a, b)
-    t = _half_gap(hi, lo)
-    return _ret(0.5 * (hi + lo) * (1.0 + t * t / 3.0))
+    mean, t = _mean_gap(hi, lo)
+    return _ret(mean * (1.0 + t * t / 3.0))
 
 
 def contraharmonic(a, b):
     """(a² + b²)/(a + b), evaluated as A·(1 + t²)."""
     hi, lo = _canon(a, b)
-    t = _half_gap(hi, lo)
-    return _ret(0.5 * (hi + lo) * (1.0 + t * t))
+    mean, t = _mean_gap(hi, lo)
+    return _ret(mean * (1.0 + t * t))
 
 
 def root_square(a, b):
     """sqrt((a² + b²)/2)."""
     hi, lo = _canon(a, b)
+    if _most(hi) > _TOP:  # as for A and t: hypot of the halved pair, doubled
+        half = np.where(hi > _TOP, 0.5, 1.0)
+        return _ret(np.where(hi == lo, hi, np.hypot(half * hi, half * lo) / math.sqrt(2.0) / half))
     return _ret(np.where(hi == lo, hi, np.hypot(hi, lo) / math.sqrt(2.0)))
+
+
+def _over_angle(mean, t, angle):
+    # A·t/angle(t), and A at t = 0, where the masked lane is fed t = 1/2
+    ts = np.where(t == 0.0, 0.5, t)
+    return _ret(mean * np.where(t == 0.0, 1.0, ts / angle(ts)))
 
 
 def first_seiffert(a, b):
@@ -152,28 +188,19 @@ def first_seiffert(a, b):
     The quotient t/arcsin(t) is well conditioned down to t = 0, but arcsin
     itself amplifies the rounding of t without bound as t -> 1 (lopsided
     pairs).  There we evaluate the same angle through its complement,
-    arcsin(t) = pi/2 - 2*arcsin(sqrt(lo/(hi+lo))), whose argument comes
+    arcsin(t) = pi/2 - 2*arcsin(sqrt(lo/(2A))), whose argument comes
     straight from the inputs with small relative error.  That form would
     cancel catastrophically at small t, so each half keeps its own lane.
     """
     hi, lo = _canon(a, b)
-    t = _half_gap(hi, lo)
-    ts = np.where(t == 0.0, 0.5, t)
-    direct = np.arcsin(np.where(t <= 0.5, ts, 0.5))
-    comp = np.sqrt(lo / (hi + lo))
-    flipped = 0.5 * math.pi - 2.0 * np.arcsin(np.where(t > 0.5, comp, 0.5))
-    angle = np.where(t <= 0.5, direct, flipped)
-    quotient = np.where(t == 0.0, 1.0, ts / angle)
-    return _ret(0.5 * (hi + lo) * quotient)
+    mean, t = _mean_gap(hi, lo)
+    flipped = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (lo / mean)))
+    return _over_angle(mean, t, lambda ts: np.where(ts <= 0.5, np.arcsin(ts), flipped))
 
 
 def second_seiffert(a, b):
     """(a - b)/(2 arctan t) with t = (a - b)/(a + b); value a when a = b."""
-    hi, lo = _canon(a, b)
-    t = _half_gap(hi, lo)
-    ts = np.where(t == 0.0, 0.5, t)
-    quotient = np.where(t == 0.0, 1.0, ts / np.arctan(ts))
-    return _ret(0.5 * (hi + lo) * quotient)
+    return _over_angle(*_mean_gap(*_canon(a, b)), np.arctan)
 
 
 def neuman_sandor(a, b):
@@ -182,11 +209,7 @@ def neuman_sandor(a, b):
     The quotient t/asinh(t) does not cancel as t -> 0, so like the Seiffert
     means it is evaluated as written down to the smallest t.
     """
-    hi, lo = _canon(a, b)
-    t = _half_gap(hi, lo)
-    ts = np.where(t == 0.0, 0.5, t)
-    quotient = np.where(t == 0.0, 1.0, ts / np.arcsinh(ts))
-    return _ret(0.5 * (hi + lo) * quotient)
+    return _over_angle(*_mean_gap(*_canon(a, b)), np.arcsinh)
 
 
 def _log_f(x):
@@ -246,12 +269,11 @@ def generalized_logarithmic(p, a, b):
 def ch_difference(a, b):
     """(a - b)²/(a + b): the gap between contraharmonic and arithmetic means, doubled.
 
-    Equals C(a,b) - A(a,b) scaled by 2, and 2A·t²; it is the natural yardstick
-    the additive mean comparisons are measured against.
+    Equals 2(C - A) = 2A·t², and is evaluated as (hi - lo)·t; it is the natural
+    yardstick the additive mean comparisons are measured against.
     """
     hi, lo = _canon(a, b)
-    gap = hi - lo
-    return _ret(gap * (gap / (hi + lo)))
+    return _ret((hi - lo) * _mean_gap(hi, lo, mean=False)[1])
 
 
 class Mean(NamedTuple):

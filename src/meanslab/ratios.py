@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegeneratePairError, DomainError, ParameterError
-from .means import PositivePair
+from .means import PositivePair, _canon, _mean_gap
 from .series import SeriesId, _horner, coefficient_floats, series
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "substitution_theta",
     "identity_residuals",
     "monotonicity_scan",
-    "m_to_ch_ratio",
 ]
 
 # Image of t -> 1 under θ = asinh(t): the right endpoint of the θ range
@@ -98,16 +97,21 @@ def h_eval(which, theta):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _gap_theta(pair: PositivePair) -> tuple[float, float]:
+    # t = |a - b|/(a + b), as the kernels form it, and θ = asinh t
+    if pair.degenerate:
+        raise DegeneratePairError("equal arguments do not determine a θ")
+    t = float(_mean_gap(*_canon(pair.a, pair.b), mean=False)[1])
+    return t, math.asinh(t)
+
+
 def substitution_theta(pair: PositivePair) -> float:
     """θ = asinh(|a - b|/(a + b)), the substitution variable of the proofs.
 
     Scale-free and symmetric; always lands in (0, θ*).  Equal arguments have
     no θ and raise.
     """
-    if pair.degenerate:
-        raise DegeneratePairError("equal arguments do not determine a θ")
-    hi, lo = (pair.a, pair.b) if pair.a >= pair.b else (pair.b, pair.a)
-    return math.asinh((hi - lo) / (hi + lo))
+    return _gap_theta(pair)[1]
 
 
 @dataclass(frozen=True)
@@ -139,14 +143,9 @@ def identity_residuals(pair: PositivePair) -> IdentityResiduals:
     use the ordinary double-precision evaluator.  The residuals therefore
     measure exactly the error of the fast path.
     """
-    if pair.degenerate:
-        raise DegeneratePairError("identities need two distinct values")
-    theta = substitution_theta(pair)
-    v1 = h_eval(SeriesId.H1, theta) - 0.5
-    v2 = h_eval(SeriesId.H2, theta)
-    v3 = h_eval(SeriesId.H3, theta)
-    tf = abs(pair.a - pair.b) / (pair.a + pair.b)
-    v4 = 1.0 / (2.0 * tf * math.asinh(tf))
+    t, theta = _gap_theta(pair)
+    h1, h2, h3 = (h_eval(sid, theta) for sid in SeriesId)
+    m_over_ch = 1.0 / (2.0 * t * theta)
 
     with mp.workdps(30):
         a, b = mp.mpf(pair.a), mp.mpf(pair.b)
@@ -157,13 +156,9 @@ def identity_residuals(pair: PositivePair) -> IdentityResiduals:
         CH = 2 * t2
         CBAR = 1 + t2 / 3
         Q = mp.sqrt(C)
-        r1 = (M - C) / CH
-        r2 = (CBAR - M) / (Q - M)
-        r3 = (Q - M) / (C - M)
-        r4 = M / CH
-        pairs = ((r1, v1), (r2, v2), (r3, v3), (r4, v4))
-        residuals = tuple(float(abs(v - r) / abs(r)) for r, v in pairs)
-        ratios = tuple(float(r) for r, _ in pairs)
+        exact = ((M - C) / CH, (CBAR - M) / (Q - M), (Q - M) / (C - M), M / CH)
+        residuals = tuple(float(abs(v - r) / abs(r)) for r, v in zip(exact, (h1 - 0.5, h2, h3, m_over_ch)))
+        ratios = tuple(float(r) for r in exact)
     return IdentityResiduals(theta=theta, ratios=ratios, residuals=residuals)
 
 
@@ -210,16 +205,3 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
         first_violation=first_violation,
     )
 
-
-def m_to_ch_ratio(t):
-    """f(t) = 1/(2t·asinh t): the ratio M/CH as a function of the half-gap t.
-
-    Strictly decreasing on (0, 1) with limit 1/(2 ln(1+√2)) at t → 1⁻,
-    which is where the one-sided sharp bound of that comparison comes from.
-    Scalar or array, t in (0, 1).
-    """
-    tt = np.asarray(t, dtype=np.float64)
-    if not ((tt > 0.0).all() and (tt < 1.0).all()):
-        raise DomainError("the ratio is considered on 0 < t < 1")
-    out = 1.0 / (2.0 * tt * np.arcsinh(tt))
-    return float(out) if np.ndim(out) == 0 else out

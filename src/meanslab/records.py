@@ -38,7 +38,7 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import MEANS, PositivePair, ch_difference, format_float, generalized_logarithmic
+from .means import _TOP, MEANS, PositivePair, ch_difference, format_float, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -426,7 +426,10 @@ def verify(rec, pair: PositivePair) -> Margins:
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
-    sample = rec.margins(pair.a, pair.b)
+    # A ratio form has the same margins at every scale.  Past 2^1022 the sums
+    # of its means overflow, and at a quarter of the pair they do not.
+    scale = 0.25 if rec.homogeneity_degree == 0 and max(pair.a, pair.b) > _TOP else 1.0
+    sample = rec.margins(scale * pair.a, scale * pair.b)
     sides = {}
     for side in _SIDES:
         m = getattr(sample, side)

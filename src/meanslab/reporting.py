@@ -15,9 +15,9 @@ import json
 
 import mpmath as mp
 
-from .catalog import Margins, ProbeResult, VerificationReport
 from .constants import SharpConstant
 from .means import format_float
+from .records import Margins, ProbeResult, VerificationReport
 from .series import DifferenceReport
 
 __all__ = [
@@ -146,26 +146,20 @@ def _human_line(row: dict) -> str:
             f"samples={row['inputs']['samples']}",
             f"seed={row['inputs']['seed']}",
         ]
-        if m["lower"] is not None:
-            w = v["lower_witness"]
-            parts.append(
-                f"min_lower={format_float(m['lower'])} at ({format_float(w[0])}, {format_float(w[1])})"
-            )
-        if m["upper"] is not None:
-            w = v["upper_witness"]
-            parts.append(
-                f"min_upper={format_float(m['upper'])} at ({format_float(w[0])}, {format_float(w[1])})"
-            )
+        for side in ("lower", "upper"):
+            if m[side] is not None:
+                w = v[f"{side}_witness"]
+                at = f"({format_float(w[0])}, {format_float(w[1])})"
+                parts.append(f"min_{side}={format_float(m[side])} at {at}")
         parts.append(f"indeterminate={v['indeterminate']}")
         return "  ".join(parts)
     if kind == "verify-pair":
         m = row["margins"]
         state = "PASS" if row["pass"] else "FAIL"
         bits = [state, row["id"]]
-        if m["lower"] is not None:
-            bits.append(f"lower={format_float(m['lower'])} ({v['lower_state']})")
-        if m["upper"] is not None:
-            bits.append(f"upper={format_float(m['upper'])} ({v['upper_state']})")
+        for side in ("lower", "upper"):
+            if m[side] is not None:
+                bits.append(f"{side}={format_float(m[side])} ({v[side + '_state']})")
         i = row["inputs"]
         bits.append(f"at ({format_float(i['a'])}, {format_float(i['b'])})")
         return "  ".join(bits)

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import pkgutil
 from collections import Counter, defaultdict
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hp_oracles
+import meanslab
 from meanslab import (
     DegeneratePairError,
     NotApplicableError,
@@ -22,7 +24,8 @@ from meanslab import (
     verify_all,
     verify_random,
 )
-from meanslab.catalog import (
+from meanslab.means import MEANS, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
+from meanslab.records import (
     _BLOCK,
     SPECS,
     InequalityRecord,
@@ -31,13 +34,22 @@ from meanslab.catalog import (
     VerificationReport,
     build_record,
 )
-from meanslab.means import MEANS, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
 
 EXPECTED_IDS = {
     "neuman-QA", "neuman-CA", "zhao-HQ", "zhao-GQ", "zhao-HC", "identric-IQ",
     "thm3.1", "thm3.2", "thm3.3", "thm3.4", "cor3.1", "cor3.2",
     "chain", "lp0-l2", "amt", "product", "kyfan",
 }
+
+
+def test_every_submodule_imports_by_name_as_a_module():
+    # no package-level name shadows a submodule; meanslab.catalog is the function
+    names = [info.name for info in pkgutil.iter_modules(meanslab.__path__)]
+    assert "records" in names and "catalog" not in names
+    for name in names:
+        module = importlib.import_module(f"meanslab.{name}")
+        assert getattr(meanslab, name) is module, name
+    assert callable(meanslab.catalog)
 
 
 def test_catalog_contents():
@@ -235,7 +247,7 @@ def kernel_calls(monkeypatch):
 
     for symbol, mean in list(MEANS.items()):
         monkeypatch.setitem(MEANS, symbol, mean._replace(kernel=counted(symbol, mean.kernel)))
-    module = importlib.import_module("meanslab.catalog")
+    module = importlib.import_module("meanslab.records")
     monkeypatch.setattr(module, "ch_difference", counted("CH", ch_difference))
     return [build_record(spec) for spec in SPECS], calls
 
@@ -284,6 +296,19 @@ def test_margins_scale_with_their_homogeneity_degree(lam):
                 continue
             assert float(v1) == pytest.approx(float(v0) * factor, rel=1e-12), (
                 rec.id, side)
+
+
+def test_degree_zero_records_decide_at_the_top_of_the_range():
+    # sums of means near 1.4e308 overflow; verify takes a ratio form's margins
+    # at a scaled copy of the pair, which has the same margins bit for bit
+    top = PositivePair(1.7e308, 1e308)
+    scaled = PositivePair(1.7e308 * 2.0**-1020, 1e308 * 2.0**-1020)
+    ratio_records = [rec for rec in catalog() if rec.homogeneity_degree == 0]
+    assert len(ratio_records) == 13
+    for rec in ratio_records:
+        margins = verify(rec, top)
+        assert margins == verify(rec, scaled), rec.id
+        assert {margins.lower_state, margins.upper_state} <= {"ok", None}, rec.id
 
 
 PAIRS = ((3.0, 1.0), (10.0, 1.0), (1.5, 1.0), (100.0, 7.0))

@@ -13,7 +13,7 @@ import pytest
 
 import meanslab
 import meanslab.cli as cli
-from meanslab.catalog import RecordSpec, build_record
+from meanslab.records import RecordSpec, build_record
 from meanslab.cli import run
 
 
@@ -85,6 +85,13 @@ def test_verify_single_record_with_pair(capsys):
     assert row["id"] == "thm3.1"
     assert row["pass"] is True
     assert row["margins"]["lower"] == pytest.approx(0.0107905926817720, rel=1e-10)
+
+
+def test_verify_decides_a_pair_at_the_top_of_the_range(capsys):
+    code, out = run_cli(capsys, "verify", "--record", "thm3.1", "--a", "1.7e308", "--b", "1e308")
+    assert code == 0
+    assert "indeterminate" not in out
+    assert out.startswith("PASS")
 
 
 def test_verify_all_formats_carry_the_same_records(capsys):

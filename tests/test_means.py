@@ -1,6 +1,8 @@
 """Mean evaluators: frozen values, algebraic properties, branch stability."""
 
+import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from meanslab import (
     arithmetic,
     centroidal,
     ch_difference,
+    constant,
     contraharmonic,
     first_seiffert,
     generalized_logarithmic,
@@ -175,6 +178,37 @@ def test_near_equal_neuman_sandor_tracks_arithmetic():
     m = neuman_sandor(a, 1.0)
     am = arithmetic(a, 1.0)
     assert abs(m - am) / am < 1e-10
+
+
+# The ten degree-one kernels: every mean of MEANS but I and L, and CH.
+DEGREE_ONE = [mean.kernel for symbol, mean in MEANS.items() if symbol not in ("I", "L")] + [ch_difference]
+TOP = [2.0**1022, 2.0**1023, 1e308, 1.7e308, 1.79e308]
+
+
+@pytest.mark.parametrize("fn", DEGREE_ONE, ids=lambda fn: fn.__name__)
+def test_kernels_at_the_top_of_the_range_are_scaled_copies(fn):
+    # past 2^1022 the sum and hypot of a pair overflow; the kernels take them
+    # of the halved pair, so the value is the exact scaled copy of a
+    # moderate pair's value, with no RuntimeWarning on the way
+    his, los = [], []
+    for hi in TOP:
+        for lo in (hi, hi / 3, hi / 1e8, hi * 1e-300):
+            want = 2.0**1020 * fn(hi * 2.0**-1020, lo * 2.0**-1020)
+            assert fn(hi, lo) == want, (hi, lo)
+            his.append(hi)
+            los.append(lo)
+    # in one array with ordinary and subnormal pairs, each keeps its scalar bits
+    a = np.array(his + [3.0, 3e-310, 1e-300])
+    b = np.array(los + [1.0, 1e-310, 5e-324])
+    assert fn(a, b).tolist() == [fn(x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("a,b", [(1e200, 1e-200), (1.79e308, 1e-300), (1e300, 1e-10), (3.0, 1.0)])
+def test_harmonic_past_the_subnormal_quotient_matches_oracle(a, b):
+    # 2·lo/(hi + lo) is subnormal in the first three: H is lo·(hi/A) there
+    want = float(hp_oracles.harm(a, b))
+    assert harmonic(a, b) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert harmonic(np.array([a, 3.0]), np.array([b, 1.0]))[0] == harmonic(a, b)
 
 
 P0 = 1.8435205184311405  # lp0-l2.lower, the critical exponent
@@ -347,3 +381,60 @@ def test_registry_kernels_match_their_oracles(symbol):
         for a, b in ((float(r), 1.0), (0.5, 0.5 * float(r))):
             want = float(hp_oracles.MEANS[symbol](a, b))
             assert kernel(a, b) == pytest.approx(want, rel=rtol), (a, b)
+
+
+# ---------------------------------------------------------------- pinned bits
+
+
+def _band_pairs(rng, band, n):
+    # the benchmark's kernel-bands recipe: t log-uniform in a band, or a/b far out
+    b = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if band == "far":
+        ratio = 10.0 ** rng.uniform(math.log10(3.0), 300.0, n)
+    else:
+        lo, hi = {"near": (-8.0, -4.0), "mid": (-4.0, math.log10(0.5))}[band]
+        t = 10.0 ** rng.uniform(lo, hi, n)
+        ratio = (1.0 + t) / (1.0 - t)
+    return ratio * b, b
+
+
+# sha256 of each kernel's output on the near, mid and far bands in turn; a
+# refactor of the kernels must leave these bits alone.
+KERNEL_SHA256 = {
+    "A": "84ec26ffe8be7ce8b0da1c86ef0bd53f9912816b4f0d2f79093046700752698c",
+    "G": "522916ae63cd859ab2080ce52aa80753adf55772eb0a1832488342ec8e8243b3",
+    "H": "39f675cca6680aa6f7634941e8ff4b85a9b7f2879cfa5e3deb7e8bac7c3864da",
+    "Cbar": "2ff3447b4e0fa8192cb516cab734042955100e65ba896b00a126d19f7c331f87",
+    "C": "94a894f0258d8ec35aacfd7cecf6650c5c5ca256a1b416f9ce858df2d53d4163",
+    "P": "b362d5223349c2fd402b4783a79389b3df1ec768bce862a9649d44e9f62f7d9a",
+    "T": "ce30963af5c8ac84ee432771ac6a1f0072d2c362502d10b29ea27a3aa8d30806",
+    "Q": "62735c6b2c95a0b66254a86e398d797f10898e8b8d822a393d835cd9621817db",
+    "M": "50e3dd2a222ae177a02c7a59bd193e52f8546f98a26aed0ce9142818f9f60328",
+    "CH": "868e20f942151388af6ed3d03db298444ff0731a2527ee7920c56eed83a26d57",
+    "L-1": "f3cb2c56373925c97887880744f7f58e0b1a4f9bfcb8045299d8152fdeaeb33e",
+    "L0": "9e550164e7a3ded842576585f3a3788efbb36beda709a137c7b67c282a5bd988",
+    "L2": "cfef77664565f3af9445e71f7d216d094095a6c7b25b5c188c68d46bc9f86b78",
+    "Lp0": "ba9658e8c234cadf507a8b1f95843ddd6d215c39bcbd9a004a951cf863f1ceac",
+}
+
+
+@pytest.fixture(scope="module")
+def band_inputs():
+    rng = np.random.default_rng(11)
+    return [_band_pairs(rng, band, 10_000) for band in ("near", "mid", "far")]
+
+
+@pytest.mark.parametrize("label", list(KERNEL_SHA256))
+def test_kernel_bits_are_pinned(label, band_inputs):
+    kernel = {
+        **{sym: MEANS[sym].kernel for sym in ("A", "G", "H", "Cbar", "C", "P", "T", "Q", "M")},
+        "CH": ch_difference,
+        "L-1": partial(generalized_logarithmic, -1.0),
+        "L0": partial(generalized_logarithmic, 0.0),
+        "L2": partial(generalized_logarithmic, 2.0),
+        "Lp0": partial(generalized_logarithmic, constant("lp0-l2.lower").float_value),
+    }[label]
+    digest = hashlib.sha256()
+    for a, b in band_inputs:
+        digest.update(np.asarray(kernel(a, b), dtype=np.float64).tobytes())
+    assert digest.hexdigest() == KERNEL_SHA256[label]

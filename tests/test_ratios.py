@@ -17,7 +17,6 @@ from meanslab import (
     constant,
     h_eval,
     identity_residuals,
-    m_to_ch_ratio,
     monotonicity_scan,
     solve_p0,
     substitution_theta,
@@ -171,18 +170,13 @@ def test_monotonicity_scans():
         monotonicity_scan("h1", 1)
 
 
-def test_m_to_ch_ratio():
-    # strictly decreasing on (0, 1), approaching 1/(2 ln(1+sqrt 2)) at 1
-    t = np.linspace(1e-6, 1.0 - 1e-9, 10_000)
-    f = m_to_ch_ratio(t)
-    assert (np.diff(f) < 0).all()
-    limit = 1.0 / (2.0 * math.log(1.0 + math.sqrt(2.0)))
-    assert m_to_ch_ratio(1.0 - 1e-12) == pytest.approx(limit, rel=1e-9)
-    assert m_to_ch_ratio(0.5) == pytest.approx(1.0 / (2 * 0.5 * math.asinh(0.5)), abs=0)
-    with pytest.raises(DomainError):
-        m_to_ch_ratio(1.5)
-    with pytest.raises(DomainError):
-        m_to_ch_ratio(0.0)
+def test_theta_and_identities_at_the_top_of_the_range():
+    # a + b overflows there; t is taken of the halved pair, as in the kernels
+    top = PositivePair(1.7e308, 1e308)
+    scaled = PositivePair(1.7e308 * 2.0**-1020, 1e308 * 2.0**-1020)
+    assert substitution_theta(top) == substitution_theta(scaled)
+    assert substitution_theta(top) == pytest.approx(0.2564393783381375, rel=1e-15)
+    assert identity_residuals(top) == identity_residuals(scaled)
 
 
 def test_solve_p0():
