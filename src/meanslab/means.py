@@ -263,6 +263,7 @@ def generalized_logarithmic(p, a, b):
         expo = (f_q - _log_f(us)) / p
         if p < -1.0:
             anchor = np.power(hi, -1.0 / p) * np.power(lo, (p + 1.0) / p)
+            expo = np.where(u == 0.0, 0.0, expo)  # equal pairs: e^expo > 1 could overflow hi
     return _ret(np.where(u == 0.0, hi, anchor * np.exp(expo)))
 
 

@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegeneratePairError, DomainError, ParameterError
-from .means import PositivePair, _canon, _mean_gap
+from .means import PositivePair, _canon, _mean_gap, _ret
 from .series import SeriesId, _horner, coefficient_floats, series
 
 __all__ = [
@@ -83,18 +83,18 @@ def h_eval(which, theta):
     the closed form.
     """
     sid = series(which).id
-    th = np.asarray(theta, dtype=np.float64)
+    th = np.asarray(theta, dtype=np.float64)[()]  # a 0-d θ runs as a numpy scalar
     # the comparisons are False for NaN, so this also rejects non-finite θ
     if not ((th >= 0.0) & (th <= _THETA_MAX)).all():
         raise DomainError(f"h functions are evaluated for 0 <= θ <= {_THETA_MAX:g}")
     small = th < _SERIES_CUT
-    ts = np.where(small, th, 0.0)
-    x2 = ts * ts
+    everywhere = small.all()
+    x2 = th * th if everywhere else np.where(small, th * th, 0.0)
     num, den = coefficient_floats(sid, _SERIES_DEPTH)
-    from_series = _horner(num, x2) / _horner(den, x2)
-    from_closed = _closed_form(sid, np.where(small, _SERIES_CUT, th))
-    out = np.where(small, from_series, from_closed)
-    return float(out) if np.ndim(out) == 0 else out
+    out = _horner(num, x2) / _horner(den, x2)
+    if not everywhere:
+        out = np.where(small, out, _closed_form(sid, np.where(small, _SERIES_CUT, th)))
+    return _ret(out)
 
 
 def _gap_theta(pair: PositivePair) -> tuple[float, float]:

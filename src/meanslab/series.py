@@ -2,12 +2,11 @@
 
 Each of the three ratio functions handled by :mod:`meanslab.ratios` is a
 quotient of two entire functions whose Taylor coefficients are known in
-closed form.  This module owns those coefficients as exact rationals
-(:class:`fractions.Fraction`), the closed forms of the coefficient ratios
-c_n = a_n/b_n, and the closed forms of the consecutive differences
-c_{n+1} - c_n, whose constant sign is what makes the quotients monotone.
-:func:`difference_sign_check` is the one exact check of both closed forms
-against the coefficients.
+closed form.  This module owns those coefficients, exactly, as numerators
+over the (2n+3)! that a_n and b_n share; the closed forms of the ratios
+c_n = a_n/b_n and of the differences c_{n+1} - c_n, whose constant sign is
+what makes the quotients monotone; and :func:`difference_sign_check`, the
+one exact check of both closed forms against the numerators.
 
 Everything here is exact integer arithmetic; the only floating point is
 :func:`coefficient_floats` and the Horner sum at the bottom, which
@@ -21,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -46,12 +46,12 @@ class SeriesId(enum.Enum):
 # ---- H1: (sinh θ - θ) / (2θ sinh²θ); both sides carry a common θ³ factor
 
 
-def _h1_num(n: int) -> Fraction:
-    return Fraction(1, math.factorial(2 * n + 3))
+def _h1_num(n: int) -> int:
+    return 1
 
 
-def _h1_den(n: int) -> Fraction:
-    return Fraction(2 ** (2 * n + 2), math.factorial(2 * n + 2))
+def _h1_den(n: int) -> int:
+    return (2 * n + 3) * 4 ** (n + 1)
 
 
 def _h1_ratio(n: int) -> Fraction:
@@ -66,11 +66,11 @@ def _h1_diff(n: int) -> Fraction:
 
 
 def _h2_num(n: int) -> Fraction:
-    return Fraction((2 * n + 3) * 2 ** (2 * n + 2) - 6, 6 * math.factorial(2 * n + 3))
+    return Fraction((2 * n + 3) * 4 ** (n + 1) - 6, 6)
 
 
-def _h2_den(n: int) -> Fraction:
-    return Fraction(2 * n + 2, math.factorial(2 * n + 3))
+def _h2_den(n: int) -> int:
+    return 2 * n + 2
 
 
 def _h2_ratio(n: int) -> Fraction:
@@ -86,8 +86,8 @@ def _h2_diff(n: int) -> Fraction:
 # Its numerator is H2's denominator, so it reuses _h2_den.
 
 
-def _h3_den(n: int) -> Fraction:
-    return Fraction((2 * n + 3) * 2 ** (2 * n + 1) - 1, math.factorial(2 * n + 3))
+def _h3_den(n: int) -> int:
+    return (2 * n + 3) * 2 ** (2 * n + 1) - 1
 
 
 def _h3_ratio(n: int) -> Fraction:
@@ -106,20 +106,26 @@ def _h3_diff(n: int) -> Fraction:
 class LemmaSeries:
     """One numerator/denominator coefficient pair with its exact ratio data.
 
-    The coefficients are those of both sides divided by their common
-    leading power of θ, so Σ a_n θ^(2n) / Σ b_n θ^(2n) is h itself.
-    ``expected_monotonicity`` is the direction the exact coefficient ratios
-    c_n move in — which, coefficientwise, is what drives the quotient
-    function itself up or down.  This is the one record of h1, h2 and h3:
-    :mod:`meanslab.ratios` takes each function's id and direction from it.
+    a_n and b_n are the coefficients of both sides over their common
+    leading power of θ, so Σ a_n θ^(2n) / Σ b_n θ^(2n) is h itself;
+    ``numerator(n)`` and ``denominator(n)`` are a_n and b_n times their
+    shared (2n+3)!.  ``expected_monotonicity`` is the direction c_n = a_n/b_n
+    moves in, which drives the quotient up or down.  This is the one record
+    of h1–h3: :mod:`meanslab.ratios` takes each id and direction from it.
     """
 
     id: SeriesId
-    numerator_coeff: Callable[[int], Fraction]
-    denominator_coeff: Callable[[int], Fraction]
+    numerator: Callable[[int], int | Fraction]
+    denominator: Callable[[int], int]
     ratio_closed: Callable[[int], Fraction]
     difference_closed: Callable[[int], Fraction]
     expected_monotonicity: str
+
+    def numerator_coeff(self, n: int) -> Fraction:
+        return Fraction(self.numerator(n), math.factorial(2 * n + 3))
+
+    def denominator_coeff(self, n: int) -> Fraction:
+        return Fraction(self.denominator(n), math.factorial(2 * n + 3))
 
     @property
     def limit_at_zero(self) -> Fraction:
@@ -148,10 +154,9 @@ def series(series_id: SeriesId | str) -> LemmaSeries:
 class DifferenceReport:
     """Outcome of checking the signs of c_{n+1} - c_n for n < depth.
 
-    ``first_failure`` is the smallest n at which the sign disagrees with the
-    expected direction, the coefficient quotient a_n/b_n does not equal
-    ``ratio_closed(n)``, or the directly computed difference does not equal
-    ``difference_closed(n)``; None when every index checks out.
+    ``first_failure`` is the smallest n at which the sign is not the expected
+    direction, or a_n/b_n is not ``ratio_closed(n)``, or c_{n+1} - c_n from
+    the numerators is not ``difference_closed(n)``; None when all check out.
     """
 
     series_id: SeriesId
@@ -163,25 +168,20 @@ class DifferenceReport:
 
 
 def difference_sign_check(series_id: SeriesId | str, depth: int = 200) -> DifferenceReport:
-    """Check, exactly, that the coefficient-ratio differences keep one sign.
-
-    Along the way both closed forms are compared with the coefficients, so
-    this is also the check that ``ratio_closed`` and ``difference_closed``
-    are right below ``depth``.  A mismatch is reported in the verdict
-    rather than raised: the point of the check is to produce a record of
-    how far the monotonicity pattern was verified.
+    """Check exactly that c_{n+1} - c_n keeps one sign and that both closed
+    forms hold for n < ``depth``.  A mismatch is reported in the verdict, not
+    raised, so the verdict records how far the pattern was verified.
     """
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     s = series(series_id)
     want_negative = s.expected_monotonicity == "decreasing"
     first_failure = None
-    ratios = [s.numerator_coeff(n) / s.denominator_coeff(n) for n in range(depth + 1)]
-    for n in range(depth):
+    ratios = (Fraction(s.numerator(n), s.denominator(n)) for n in range(depth + 1))
+    for n, (ratio, following) in enumerate(pairwise(ratios)):
         closed = s.difference_closed(n)
-        direct = ratios[n + 1] - ratios[n]
         sign_ok = closed != 0 and (closed < 0) == want_negative
-        if ratios[n] != s.ratio_closed(n) or direct != closed or not sign_ok:
+        if ratio != s.ratio_closed(n) or following - ratio != closed or not sign_ok:
             first_failure = n
             break
     return DifferenceReport(
@@ -209,7 +209,7 @@ def coefficient_floats(series_id: SeriesId | str, depth: int) -> tuple[np.ndarra
 
 def _horner(coeffs: np.ndarray, x2):
     """Σ coeffs[n]·x2ⁿ by Horner's rule, elementwise over ``x2``."""
-    acc = np.zeros_like(x2)
-    for c in coeffs[::-1]:
+    acc = 0.0
+    for c in coeffs[::-1].tolist():
         acc = acc * x2 + c
     return acc

@@ -85,7 +85,8 @@ def glog(p, a, b):
         if a == b:
             return a
         if p == 0:
-            return (1 / mp.e) * mp.power(b**b / a**a, 1 / (b - a))
+            # in logs: b**b/a**a rounds to 1 for tiny pairs
+            return mp.exp((b * mp.log(b) - a * mp.log(a)) / (b - a) - 1)
         if p == -1:
             return (b - a) / (mp.log(b) - mp.log(a))
         return mp.power(

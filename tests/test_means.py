@@ -294,6 +294,25 @@ def test_glog_at_extreme_finite_ratios_matches_oracle(p):
     assert batch.tolist() == [generalized_logarithmic(p, x, y) for x, y in zip(a, b)]
 
 
+@pytest.mark.parametrize("p", [-1.5, -3.0, -10.0])
+def test_glog_below_minus_one_at_equal_pairs_at_the_top_of_the_range(p):
+    # the masked equal-argument lane must not overflow (a leaked warning fails)
+    top = 1.7e308
+    assert generalized_logarithmic(p, top, top) == top
+    a = np.array([top, top, 2.5, 3.0])
+    b = np.array([top, 1e308, 2.5, 1.0])
+    batch = generalized_logarithmic(p, a, b)
+    assert batch.tolist() == [generalized_logarithmic(p, x, y) for x, y in zip(a, b)]
+    assert batch[0] == top and batch[2] == 2.5
+
+
+@pytest.mark.parametrize("a,b", [(1e-300, 5e-324), (1e-300, 1e-310)])
+def test_identric_mean_at_tiny_pairs_matches_oracle(a, b):
+    want = float(hp_oracles.glog(0, a, b))
+    assert b < want < a
+    assert generalized_logarithmic(0.0, a, b) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_glog_nondecreasing_in_p():
     ps = [-5.0, -2.0, -1.0 - 1e-7, -1.0, -0.5, -1e-8, 0.0, 0.5, 1.0, 2.0, 5.0]
     values = [generalized_logarithmic(p, 7.0, 1.0) for p in ps]

@@ -1,5 +1,6 @@
 """The hyperbolic ratio functions, substitution identities, scans, and p0."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -112,6 +113,37 @@ def test_h_eval_array_equals_its_scalars(which):
                        2.000001, 7.5, 300.0])
     out = h_eval(which, thetas)
     assert [float(v) for v in out] == [h_eval(which, float(t)) for t in thetas]
+
+
+# 0, both neighbours of the switch at θ = 2, 300, and dense runs on each side
+LANE_GRID = np.concatenate([
+    [0.0, 1e-300, np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 300.0],
+    np.linspace(0.0, 4.0, 4001),
+    np.geomspace(1e-8, 300.0, 2001),
+])
+
+# sha256 of h_eval over LANE_GRID; a speedup of h_eval must leave these bits alone
+H_EVAL_SHA256 = {
+    "h1": "f98b90d982b4ecae4c70857cefb808ea97c59c6cc9ec3c8ced3e70154ed17e40",
+    "h2": "b08093a7bce72c8e65e15d9f937d6d8377e31cb57eff1f125bd1adbb16a7785e",
+    "h3": "fb966b5cc76699d59f7a87ac6176a89ab43edbd200ad822812694b451ab61e24",
+}
+
+
+@pytest.mark.parametrize("which", ["h1", "h2", "h3"])
+def test_h_eval_lanes_alone_equal_the_mixed_array(which):
+    # an array wholly below θ = 2 skips the closed form; a scalar or 0-d θ
+    # runs on numpy scalars: neither may move a bit
+    out = h_eval(which, LANE_GRID)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == H_EVAL_SHA256[which]
+    small = LANE_GRID < 2.0
+    assert h_eval(which, LANE_GRID[small]).tolist() == out[small].tolist()
+    assert h_eval(which, LANE_GRID[~small]).tolist() == out[~small].tolist()
+    for i in list(range(6)) + list(range(6, LANE_GRID.size, 97)):
+        assert h_eval(which, LANE_GRID[i]) == out[i], LANE_GRID[i]
+        assert h_eval(which, np.asarray(float(LANE_GRID[i]))) == out[i], LANE_GRID[i]
+    assert type(h_eval(which, np.asarray(2.5))) is float
+    assert h_eval(which, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])

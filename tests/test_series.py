@@ -1,6 +1,7 @@
 """Exact coefficient data: ratios, differences, signs, float partial sums."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,27 @@ def test_leading_coefficients():
     assert h3.denominator_coeff(0) == Fraction(5, 6)
 
 
+# The textbook coefficients, each over its own factorial: the reference the
+# numerators over the shared (2n+3)! are checked against.
+FACTORIAL_FORMS = {
+    SeriesId.H1: (lambda n: Fraction(1, math.factorial(2 * n + 3)),
+                  lambda n: Fraction(2 ** (2 * n + 2), math.factorial(2 * n + 2))),
+    SeriesId.H2: (lambda n: Fraction((2 * n + 3) * 2 ** (2 * n + 2) - 6, 6 * math.factorial(2 * n + 3)),
+                  lambda n: Fraction(2 * n + 2, math.factorial(2 * n + 3))),
+    SeriesId.H3: (lambda n: Fraction(2 * n + 2, math.factorial(2 * n + 3)),
+                  lambda n: Fraction((2 * n + 3) * 2 ** (2 * n + 1) - 1, math.factorial(2 * n + 3))),
+}
+
+
+@pytest.mark.parametrize("sid", list(SeriesId))
+def test_numerators_over_the_shared_factorial_are_the_coefficients(sid):
+    s = series(sid)
+    a, b = FACTORIAL_FORMS[sid]
+    for n in range(301):
+        assert s.numerator_coeff(n) == a(n), n
+        assert s.denominator_coeff(n) == b(n), n
+
+
 def test_ratio_values():
     assert series("H1").ratio_closed(0) == Fraction(1, 12)
     assert series("H1").ratio_closed(1) == Fraction(1, 80)
@@ -73,6 +95,26 @@ def test_difference_signs_at_depth_200(sid, negative):
     assert (rep.first_difference < 0) is negative
     for n in (0, 1, 7, 199):
         assert (series(sid).difference_closed(n) < 0) is negative
+
+
+@pytest.mark.parametrize("sid", list(SeriesId))
+def test_difference_signs_at_depth_2000(sid):
+    rep = difference_sign_check(sid, depth=2000)
+    assert rep.passed and rep.first_failure is None and rep.depth == 2000
+
+
+@pytest.mark.parametrize("sid", list(SeriesId))
+def test_tampered_numerator_is_caught_by_the_direct_difference(monkeypatch, sid):
+    # a_1500 off: c_1499 still equals ratio_closed, c_1500 - c_1499 does not
+    good = series(sid)
+
+    def tampered(n):
+        return good.numerator(n) + (n == 1500)
+
+    monkeypatch.setitem(SERIES_REGISTRY, sid, dataclasses.replace(good, numerator=tampered))
+    rep = difference_sign_check(sid, depth=2000)
+    assert not rep.passed
+    assert rep.first_failure == 1499
 
 
 def test_denominator_coefficients_positive():
