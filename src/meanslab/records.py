@@ -11,7 +11,8 @@ beta*(X - W)`` (``X - W`` may be ``CH``): their margins are ``R - alpha`` and
 ``beta - R`` times the sign of ``X - W``, for ``R = (Z - Y)/(X - W)``, in the
 constant's own units.  Three things can be done with records:
 
-* :func:`verify` — evaluate one record's margins on one pair;
+* :func:`verify` — evaluate one record's margins on one pair; records
+  verified in turn on the same pair share its mean values;
 * :func:`verify_all` — sample many pairs (log-uniform in the ratio a/b,
   which is where sharpness lives) and aggregate minima and witnesses;
   records that share a sampler share one draw and are evaluated block by
@@ -103,9 +104,11 @@ class InequalityRecord:
     ``kind`` separates the package's core sharp results from the previously
     known bounds and classical orderings carried along for cross-checking.
     The form fixes the homogeneity degree, the sampler and the domain; see
-    the properties below.  ``margin_fn`` computes the margins on a pair (for
-    :func:`verify` and the probes), ``means_fn`` from a lookup of mean values
-    that records can share (for :func:`verify_all`).
+    the properties below.  ``means_fn`` computes the margins from a lookup
+    of mean values that records can share, and ``margin_fn`` on a pair: an
+    array pair (the probes) gets a lookup of its own, and one scalar pair
+    (:func:`verify`) shares the last pair's lookup with every record
+    verified on it.  :func:`verify_all` shares one lookup per block.
     """
 
     id: str
@@ -167,6 +170,13 @@ class _Means(dict):
     def __missing__(self, kernel):
         value = self[kernel] = kernel(self.a, self.b)
         return value
+
+
+@lru_cache(maxsize=1)
+def _pair_means(a: float, b: float) -> _Means:
+    # The last scalar pair's lookup: verify on one pair for every record
+    # computes each mean once.  Arrays never come here.
+    return _Means(a, b)
 
 
 def _quotient(kernels, means, lo, up):
@@ -346,7 +356,8 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
         return form.margins(kernels, means, lo, up)
 
     def margin_fn(a, b, lo_c, up_c):
-        return means_fn(_Means(a, b), lo_c, up_c)
+        scalar = type(a) is float and type(b) is float
+        return means_fn(_pair_means(a, b) if scalar else _Means(a, b), lo_c, up_c)
 
     return InequalityRecord(
         id=spec.id,
@@ -421,22 +432,33 @@ def verify(rec, pair: PositivePair) -> Margins:
     Raises DegeneratePairError for a = b (no strict inequality to check)
     and NotApplicableError when the pair is outside the record's stated
     domain — the latter is a skip signal, not a failure.
+
+    The mean values on one pair are computed once and shared by every
+    record verified on it in turn, so a loop over the catalog evaluates
+    each mean once per pair.  Past 2^1022 the sums of means overflow
+    (``chain`` adds seven), so a record of degree 0 or 1 is evaluated and
+    judged at 2^-4 times the pair, and its margins are multiplied back by
+    16^degree, which is exact.  An even power of 2 keeps G's square root
+    exact as well, so a ratio form's margins are those of the pair scaled
+    by any even power of 2, bit for bit.  The ``product`` record (degree
+    2) is not rescaled: its squares overflow from about 1e154 and
+    underflow below about 1e-162, and its margins are indeterminate there.
     """
     rec = _resolve(rec)
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
-    # A ratio form has the same margins at every scale.  Past 2^1022 the sums
-    # of its means overflow, and at a quarter of the pair they do not.
-    scale = 0.25 if rec.homogeneity_degree == 0 and max(pair.a, pair.b) > _TOP else 1.0
+    top = rec.homogeneity_degree in (0, 1) and max(pair.a, pair.b) > _TOP
+    scale = 2.0**-4 if top else 1.0
     sample = rec.margins(scale * pair.a, scale * pair.b)
+    back = 16.0**rec.homogeneity_degree if top else 1.0
     sides = {}
     for side in _SIDES:
         m = getattr(sample, side)
         if m is not None:
             m = float(m)
             fail, ok = _judge(m, float(getattr(sample, side + "_scale")))
-            sides[side] = m
+            sides[side] = m * back
             sides[side + "_state"] = "fail" if fail else "ok" if ok else "indeterminate"
     return Margins(rec.id, **sides)
 

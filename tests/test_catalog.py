@@ -1,5 +1,6 @@
 """The inequality catalog: margins, random verification, scaling, sharpness."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -29,9 +30,13 @@ from meanslab.records import (
     _BLOCK,
     SPECS,
     InequalityRecord,
+    Margins,
     MarginSample,
     RecordSpec,
     VerificationReport,
+    _judge,
+    _Means,
+    _pair_means,
     build_record,
 )
 
@@ -294,21 +299,92 @@ def test_margins_scale_with_their_homogeneity_degree(lam):
             v0, v1 = getattr(m0, side), getattr(m1, side)
             if v0 is None:
                 continue
-            assert float(v1) == pytest.approx(float(v0) * factor, rel=1e-12), (
+            assert float(v1) == pytest.approx(float(v0) * factor, rel=1e-12, abs=0.0), (
                 rec.id, side)
 
 
-def test_degree_zero_records_decide_at_the_top_of_the_range():
-    # sums of means near 1.4e308 overflow; verify takes a ratio form's margins
-    # at a scaled copy of the pair, which has the same margins bit for bit
+def test_degree_zero_and_one_records_decide_at_the_top_of_the_range():
+    # sums of means near 1.4e308 overflow; verify takes the margins of a record
+    # of degree 0 or 1 at a scaled copy of the pair and scales them back, which
+    # gives those of any other copy scaled by an even power of 2, bit for bit
     top = PositivePair(1.7e308, 1e308)
     scaled = PositivePair(1.7e308 * 2.0**-1020, 1e308 * 2.0**-1020)
-    ratio_records = [rec for rec in catalog() if rec.homogeneity_degree == 0]
-    assert len(ratio_records) == 13
-    for rec in ratio_records:
-        margins = verify(rec, top)
-        assert margins == verify(rec, scaled), rec.id
+    records = [rec for rec in catalog() if rec.homogeneity_degree in (0, 1)]
+    assert len(records) == 15
+    for rec in records:
+        margins, small = verify(rec, top), verify(rec, scaled)
+        back = 2.0 ** (1020 * rec.homogeneity_degree)
+        sides = {s: getattr(small, s) * back for s in ("lower", "upper") if getattr(small, s) is not None}
+        assert margins == dataclasses.replace(small, **sides), rec.id
         assert {margins.lower_state, margins.upper_state} <= {"ok", None}, rec.id
+
+
+# ------------------------------------------------- one lookup per verified pair
+
+MEMO_PAIRS = (
+    PositivePair(1.0 + 2.0**-30, 1.0),  # near-equal
+    PositivePair(1e8, 1e-3),  # lopsided
+    PositivePair(0.3, 0.1),  # inside the Ky Fan domain
+    PositivePair(1.7e308, 1e308),  # past 2^1022
+)
+
+
+def _verified(rec, pair) -> str:
+    # repr: bitwise equal floats, NaN included
+    try:
+        return repr(verify(rec, pair))
+    except NotApplicableError:
+        return "not applicable"
+
+
+def _fresh(rec, pair) -> str:
+    # verify's margins from a lookup made for this record alone, on the pair
+    # as verify scales it, judged against the same threshold
+    degree = rec.homogeneity_degree
+    scale = 2.0**-4 if degree in (0, 1) and max(pair.a, pair.b) > 2.0**1022 else 1.0
+    sample = rec.means_fn(_Means(scale * pair.a, scale * pair.b), None, None)
+    sides = {}
+    for side in ("lower", "upper"):
+        m = getattr(sample, side)
+        if m is not None:
+            fail, ok = _judge(float(m), float(getattr(sample, f"{side}_scale")))
+            sides[side] = float(m) * (scale**-degree if scale != 1.0 else 1.0)
+            sides[f"{side}_state"] = "fail" if fail else "ok" if ok else "indeterminate"
+    return repr(Margins(rec.id, **sides))
+
+
+def test_shared_pair_lookup_changes_no_margins():
+    records = catalog()
+    pair_major = [[_verified(rec, pair) for rec in records] for pair in MEMO_PAIRS]
+    record_major = [[_verified(rec, pair) for pair in MEMO_PAIRS] for rec in records]
+    assert pair_major == [list(row) for row in zip(*record_major)]
+    for pair, row in zip(MEMO_PAIRS, pair_major):
+        for rec, margins in zip(records, row):
+            if margins != "not applicable":
+                assert margins == _fresh(rec, pair), (rec.id, pair)
+
+
+def test_an_override_after_a_shared_lookup_is_applied():
+    rec = record("thm3.1")
+    pair = PositivePair(3.0, 1.0)
+    verify(rec, pair)  # the pair's mean values are now shared
+    tightened = rec.lower.float_value + 0.01
+    sample = rec.margins(pair.a, pair.b, lower_c=tightened)
+    assert sample.lower == rec.means_fn(_Means(pair.a, pair.b), tightened, None).lower
+    assert sample.lower != rec.margins(pair.a, pair.b).lower
+    assert sample.upper == rec.margins(pair.a, pair.b).upper
+    # arrays never reach the one-pair lookup
+    info = _pair_means.cache_info()
+    rec.margins(np.array([pair.a]), np.array([pair.b]), lower_c=tightened)
+    assert _pair_means.cache_info() == info
+
+
+def test_each_mean_is_computed_once_per_verified_pair(kernel_calls):
+    records, calls = kernel_calls
+    for rec in records:
+        if rec.sampler == "log-ratio":
+            verify(rec, PositivePair(3.0, 1.0))
+    assert {symbol: len(c) for symbol, c in calls.items()} == dict.fromkeys(LOG_RATIO_MEANS, 1)
 
 
 PAIRS = ((3.0, 1.0), (10.0, 1.0), (1.5, 1.0), (100.0, 7.0))
