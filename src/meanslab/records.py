@@ -1,9 +1,10 @@
 """Machine-checkable catalog of the sharp inequalities between the means.
 
 Every record is declared in ``SPECS`` as one of five forms over the mean
-symbols of :data:`meanslab.means.MEANS`.  :func:`build_record` binds the
-kernels and derives the statement and the vectorised margin function:
-positive margins mean the inequality holds on that pair, and the attached
+symbols of :data:`meanslab.means.MEANS`; that entry, with the formula text
+of its constants, is the record's claim.  :func:`build_record` binds the
+kernels and the vectorised margin function: positive margins mean the
+inequality holds on that pair, and the attached
 :class:`~meanslab.constants.SharpConstant` objects are the claimed
 best-possible weights or bounds.  Thirteen records are the paper's linear
 relations between differences of means, ``alpha*(X - W) < Z - Y <
@@ -39,7 +40,7 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import _TOP, MEANS, PositivePair, ch_difference, format_float, generalized_logarithmic
+from .means import _TINY, _TOP, MEANS, PositivePair, ch_difference, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -113,7 +114,6 @@ class InequalityRecord:
 
     id: str
     form: str
-    statement: str
     kind: str
     lower: SharpConstant | None
     upper: SharpConstant | None
@@ -125,7 +125,7 @@ class InequalityRecord:
     def homogeneity_degree(self) -> int | None:
         """How margins respond to (a, b) → (λa, λb): degree 1 for
         mean-valued margins, 0 for ratio forms, 2 for the product form,
-        ``None`` when the statement is not scale-invariant at all."""
+        ``None`` when the inequality is not scale-invariant at all."""
         return _FORMS[self.form].degree
 
     @property
@@ -136,7 +136,7 @@ class InequalityRecord:
 
     @property
     def domain_note(self) -> str | None:
-        """The domain restriction of the statement, if it has one."""
+        """The domain restriction of the inequality, if it has one."""
         return _FORMS[self.form].domain
 
     def margins(self, a, b, *, lower_c: float | None = None, upper_c: float | None = None) -> MarginSample:
@@ -241,45 +241,25 @@ def _window(kernels, means, p, q):
     return MarginSample(m - below, above - m, scale_lo, scale_up)
 
 
-def _between(*parts) -> str:
-    return " < ".join(p for p in parts if p is not None)
-
-
 def _quotient_symbols(text: str) -> tuple:
     # "Z-Y / X-W" as (Z, Y, X, W), with None for a Y or W left out
     num, den = ((*side.strip().split("-"), None)[:2] for side in text.split("/"))
     return num + den
 
 
-def _quotient_text(s, lo, up) -> str:
-    num = " - ".join(filter(None, s[:2]))
-    den = s[2] if s[3] is None else f"({s[2]} - {s[3]})"
-    return _between(f"({lo})*{den}", num, up and f"({up})*{den}")
-
-
 class _Form(NamedTuple):
     margins: Callable  # (kernels, means, lower bound, upper bound) -> MarginSample
-    text: Callable  # (symbols, lower text, upper text) -> statement
     degree: int | None = 1
     domain: str | None = None
     symbols: Callable = str.split  # the spec's means text -> symbols, in margin order
 
 
 _FORMS = {
-    "difference-ratio": _Form(_quotient, _quotient_text, degree=0, symbols=_quotient_symbols),
-    "chain": _Form(_chain, lambda s, lo, up: _between(*s)),
-    "product-bound": _Form(
-        _product,
-        lambda s, lo, up: f"{s[0]}*{s[2]} < {s[1]}^2 < ({s[0]}^2 + {s[2]}^2)/2",
-        degree=2,
-    ),
-    "exponent-window": _Form(_window, lambda s, lo, up: _between(f"L[{lo}]", s[0], f"L[{up}]")),
-    "ky-fan-chain": _Form(
-        _ky_fan,
-        lambda s, lo, up: _between(*(f"{x}/{x}'" for x in s)) + " with X' = X(1-a, 1-b)",
-        degree=None,
-        domain="requires 0 < a, b < 1/2",
-    ),
+    "difference-ratio": _Form(_quotient, degree=0, symbols=_quotient_symbols),
+    "chain": _Form(_chain),
+    "product-bound": _Form(_product, degree=2),
+    "exponent-window": _Form(_window),
+    "ky-fan-chain": _Form(_ky_fan, degree=None, domain="requires 0 < a, b < 1/2"),
 }
 
 
@@ -328,14 +308,14 @@ SPECS = (
 
 
 def _side(spec: RecordSpec, side: str):
-    """(constant, bound, text, probe) of one side of a spec."""
+    """(constant, bound, probe) of one side of a spec."""
     given = getattr(spec, side)
     if given is None:
-        return None, None, None, None
+        return None, None, None
     if isinstance(given, tuple):
         const = constant(f"{spec.id}.{side}")
-        return const, const.float_value, const.exact_expr, ProbeSpec(side, *given)
-    return None, float(given), format_float(given), None
+        return const, const.float_value, ProbeSpec(side, *given)
+    return None, float(given), None
 
 
 def _kernel(symbol: str | None) -> Callable | None:
@@ -347,8 +327,8 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
     form = _FORMS[spec.form]
     symbols = form.symbols(spec.means)
     kernels = tuple(_kernel(s) for s in symbols)
-    lo_const, lo_default, lo_text, lo_probe = _side(spec, "lower")
-    up_const, up_default, up_text, up_probe = _side(spec, "upper")
+    lo_const, lo_default, lo_probe = _side(spec, "lower")
+    up_const, up_default, up_probe = _side(spec, "upper")
 
     def means_fn(means, lo_c, up_c):
         lo = lo_default if lo_c is None else lo_c
@@ -362,7 +342,6 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
     return InequalityRecord(
         id=spec.id,
         form=spec.form,
-        statement=form.text(symbols, lo_text, up_text),
         kind=spec.kind,
         lower=lo_const,
         upper=up_const,
@@ -436,22 +415,28 @@ def verify(rec, pair: PositivePair) -> Margins:
     The mean values on one pair are computed once and shared by every
     record verified on it in turn, so a loop over the catalog evaluates
     each mean once per pair.  Past 2^1022 the sums of means overflow
-    (``chain`` adds seven), so a record of degree 0 or 1 is evaluated and
-    judged at 2^-4 times the pair, and its margins are multiplied back by
-    16^degree, which is exact.  An even power of 2 keeps G's square root
-    exact as well, so a ratio form's margins are those of the pair scaled
-    by any even power of 2, bit for bit.  The ``product`` record (degree
-    2) is not rescaled: its squares overflow from about 1e154 and
-    underflow below about 1e-162, and its margins are indeterminate there.
+    (``chain`` adds seven), so a record of degree 0 or 1 is judged at the
+    pair times 2^-4, its margins multiplied back by 16^degree, when that
+    copy is exact: when its smaller argument is a normal double.  An even
+    power of 2 keeps G's square root exact too, so a ratio form's margins
+    are those of the pair scaled by any even power of 2, bit for bit.
+    Otherwise the pair is evaluated as given, and a noise scale that
+    overflows leaves its side indeterminate.  ``product`` (degree 2) is not
+    rescaled: its squares overflow from about 1e154 and underflow below
+    about 1e-162, and its margins are indeterminate there.
     """
     rec = _resolve(rec)
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
     top = rec.homogeneity_degree in (0, 1) and max(pair.a, pair.b) > _TOP
-    scale = 2.0**-4 if top else 1.0
-    sample = rec.margins(scale * pair.a, scale * pair.b)
-    back = 16.0**rec.homogeneity_degree if top else 1.0
+    scale = 2.0**-4 if top and 2.0**-4 * min(pair.a, pair.b) >= _TINY else 1.0
+    if top and scale == 1.0:  # a scaled copy would lose bits
+        with np.errstate(over="ignore"):
+            sample = rec.margins(pair.a, pair.b)
+    else:
+        sample = rec.margins(scale * pair.a, scale * pair.b)
+    back = 16.0**rec.homogeneity_degree if scale != 1.0 else 1.0
     sides = {}
     for side in _SIDES:
         m = getattr(sample, side)

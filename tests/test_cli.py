@@ -1,19 +1,25 @@
 """Command-line behavior: output contracts, formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import meanslab
 import meanslab.cli as cli
+import meanslab.reporting as reporting
 from meanslab.records import RecordSpec, build_record
+from meanslab.series import _REGISTRY as SERIES_REGISTRY
+from meanslab.series import SeriesId, series
 from meanslab.cli import run
 
 
@@ -41,7 +47,7 @@ def test_eval_prints_full_precision(capsys):
     assert code == 0
     digits = [c for c in out.strip() if c.isdigit()]
     assert len(digits) >= 15
-    assert float(out) == pytest.approx(2.0780869212350275, rel=1e-15)
+    assert float(out) == pytest.approx(2.0780869212350275, rel=1e-15, abs=0.0)
 
 
 def test_eval_accepts_glog_orders(capsys):
@@ -49,7 +55,7 @@ def test_eval_accepts_glog_orders(capsys):
     # of ulps of roundtrip error, so parse rather than string-match
     code, out = run_cli(capsys, "eval", "--mean", "L:1", "--a", "1", "--b", "3")
     assert code == 0
-    assert float(out) == pytest.approx(2.0, rel=1e-14)
+    assert float(out) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
 
 def test_constants_output(capsys):
@@ -75,6 +81,24 @@ def test_series_check_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_a_failing_series_check_names_its_first_failure(capsys, monkeypatch):
+    # every closed-form difference of H1 set to 0: the direct ones disagree
+    broken = dataclasses.replace(series(SeriesId.H1), difference_closed=lambda n: Fraction(0))
+    monkeypatch.setitem(SERIES_REGISTRY, SeriesId.H1, broken)
+    code, out = run_cli(capsys, "series-check", "--depth", "5")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "FAIL H1  depth=5  expected=decreasing  first_difference=0  first_failure=0"
+    )
+
+
+def test_a_row_of_unknown_kind_renders_as_json_and_an_unknown_format_raises():
+    row = reporting._row("x", "unknown-kind", None, {"v": 1}, None, None)
+    assert reporting.render([row], "human") == json.dumps(row) + "\n"
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        reporting.render([row], "xml")
+
+
 def test_verify_single_record_with_pair(capsys):
     code, out = run_cli(
         capsys, "verify", "--record", "thm3.1", "--a", "3", "--b", "1",
@@ -84,7 +108,7 @@ def test_verify_single_record_with_pair(capsys):
     row = json.loads(out)
     assert row["id"] == "thm3.1"
     assert row["pass"] is True
-    assert row["margins"]["lower"] == pytest.approx(0.0107905926817720, rel=1e-10)
+    assert row["margins"]["lower"] == pytest.approx(0.0107905926817720, rel=1e-10, abs=0.0)
 
 
 def test_verify_decides_a_pair_at_the_top_of_the_range(capsys):
@@ -223,6 +247,32 @@ def test_sharpness_without_a_witness_is_inconclusive(capsys):
     code, out = run_cli(capsys, "sharpness", "--record", "thm3.1", "--epsilon", "1e-6")
     assert code == 0
     assert out.count("SHARP thm3.1:") == 2
+
+
+def _readme_cli_examples():
+    # the "$ meanslab ..." lines of the README's CLI block, each with the
+    # lines printed under it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    return [pytest.param(command, printed, id=command)
+            for command, *printed in (example.splitlines() for example in block.strip().split("\n\n"))]
+
+
+@pytest.mark.parametrize("command,printed", _readme_cli_examples())
+def test_readme_cli_examples_match_the_program(capsys, command, printed):
+    # a printed line ending in "..." is a prefix; "| head -N" keeps N lines
+    command, *pipe = command.removeprefix("$ ").split(" | ")
+    argv = shlex.split(command)
+    assert argv[0] == "meanslab"
+    code, out = run_cli(capsys, *argv[1:])
+    assert code == 0
+    lines = out.splitlines()
+    for stage in pipe:
+        assert stage.split()[0] == "head", stage
+        lines = lines[: int(stage.split()[1].lstrip("-"))]
+    assert len(lines) == len(printed)
+    for got, want in zip(lines, printed):
+        assert got.startswith(want[:-3]) if want.endswith("...") else got == want, (got, want)
 
 
 def test_console_entry_point_runs_in_a_subprocess(tmp_path):

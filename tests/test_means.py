@@ -44,14 +44,14 @@ def test_textbook_values():
     assert harmonic(2, 6) == 3.0
     assert root_square(1, 7) == 5.0
     assert contraharmonic(1, 3) == 2.5
-    assert centroidal(1, 3) == pytest.approx(13 / 6, rel=1e-15)
+    assert centroidal(1, 3) == pytest.approx(13 / 6, rel=1e-15, abs=0.0)
     assert ch_difference(3, 1) == 1.0
-    assert ch_difference(2, 1) == pytest.approx(1 / 3, rel=1e-15)
+    assert ch_difference(2, 1) == pytest.approx(1 / 3, rel=1e-15, abs=0.0)
 
 
 def test_neuman_sandor_value():
     want = float(hp_oracles.neuman(3, 1))
-    assert neuman_sandor(3, 1) == pytest.approx(want, rel=5e-16)
+    assert neuman_sandor(3, 1) == pytest.approx(want, rel=5e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("fn,name", [(first_seiffert, "first-seiffert"),
@@ -60,19 +60,19 @@ def test_seiffert_values(fn, name):
     (symbol,) = [s for s, mean in MEANS.items() if mean.label == name]
     assert MEANS[symbol].kernel is fn
     want = float(hp_oracles.MEANS[symbol](2, 5))
-    assert fn(2, 5) == pytest.approx(want, rel=5e-16)
+    assert fn(2, 5) == pytest.approx(want, rel=5e-16, abs=0.0)
 
 
 def test_generalized_logarithmic_members():
     e = math.e
-    assert generalized_logarithmic(-1.0, 1.0, e) == pytest.approx(e - 1.0, rel=1e-15)
-    assert generalized_logarithmic(1.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-15)
+    assert generalized_logarithmic(-1.0, 1.0, e) == pytest.approx(e - 1.0, rel=1e-15, abs=0.0)
+    assert generalized_logarithmic(1.0, 1.0, 3.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
     assert generalized_logarithmic(2.0, 1.0, 3.0) == pytest.approx(
-        math.sqrt(13 / 3), rel=1e-15
+        math.sqrt(13 / 3), rel=1e-15, abs=0.0
     )
     # identric mean of (1, e) is e^(1/(e-1))
     assert generalized_logarithmic(0.0, 1.0, e) == pytest.approx(
-        math.exp(1.0 / (e - 1.0)), rel=1e-15
+        math.exp(1.0 / (e - 1.0)), rel=1e-15, abs=0.0
     )
 
 
@@ -146,7 +146,7 @@ def test_first_seiffert_matches_arctan_form_across_ratios():
     for r in ratios:
         mine = first_seiffert(float(r), 1.0)
         ref = float(hp_oracles.seiffert1(float(r), 1.0))
-        assert mine == pytest.approx(ref, rel=1e-12), r
+        assert mine == pytest.approx(ref, rel=1e-12, abs=0.0), r
 
 
 def test_second_seiffert_stable_across_ratios():
@@ -154,7 +154,7 @@ def test_second_seiffert_stable_across_ratios():
     for r in ratios:
         mine = second_seiffert(float(r), 1.0)
         ref = float(hp_oracles.seiffert2(float(r), 1.0))
-        assert mine == pytest.approx(ref, rel=1e-12), r
+        assert mine == pytest.approx(ref, rel=1e-12, abs=0.0), r
 
 
 def test_neuman_sandor_stable_across_ratios():
@@ -162,7 +162,7 @@ def test_neuman_sandor_stable_across_ratios():
     for r in ratios:
         mine = neuman_sandor(float(r), 1.0)
         ref = float(hp_oracles.neuman(float(r), 1.0))
-        assert mine == pytest.approx(ref, rel=1e-12), r
+        assert mine == pytest.approx(ref, rel=1e-12, abs=0.0), r
 
 
 def test_neuman_sandor_series_switch_is_seamless():
@@ -172,7 +172,7 @@ def test_neuman_sandor_series_switch_is_seamless():
         a = (1.0 + t) / (1.0 - t)
         mine = neuman_sandor(a, 1.0)
         ref = float(hp_oracles.neuman(a, 1.0))
-        assert mine == pytest.approx(ref, rel=1e-13)
+        assert mine == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_near_equal_neuman_sandor_tracks_arithmetic():
@@ -221,9 +221,9 @@ def test_glog_continuous_across_the_limit_windows():
         ident = generalized_logarithmic(0.0, a, b)
         logm = generalized_logarithmic(-1.0, a, b)
         for off in (-1e-9, 1e-9):
-            assert generalized_logarithmic(off, a, b) == pytest.approx(ident, rel=1e-7)
+            assert generalized_logarithmic(off, a, b) == pytest.approx(ident, rel=1e-7, abs=0.0)
             assert generalized_logarithmic(-1.0 + off, a, b) == pytest.approx(
-                logm, rel=1e-7
+                logm, rel=1e-7, abs=0.0
             )
 
 
@@ -234,14 +234,14 @@ def test_glog_general_orders_match_oracle():
         for a in (1.0 + 1e-6, 2.0, 1e8, 1e100, 1e250, 1e300, 1e305):
             mine = generalized_logarithmic(p, a, 1.0)
             ref = float(hp_oracles.glog(p, a, 1.0))
-            assert mine == pytest.approx(ref, rel=1e-13), (p, a)
+            assert mine == pytest.approx(ref, rel=1e-13, abs=0.0), (p, a)
 
 
 def test_glog_just_outside_limit_windows_matches_oracle():
     for p in (2e-6, -2e-6, -1.0 + 2e-6, -1.0 - 2e-6):
         mine = generalized_logarithmic(p, 1.0, 3.0)
         ref = float(hp_oracles.glog(p, 1.0, 3.0))
-        assert mine == pytest.approx(ref, rel=1e-7), p
+        assert mine == pytest.approx(ref, rel=1e-7, abs=0.0), p
 
 
 @pytest.mark.parametrize("p", [-1.0 + 9e-7, -1.0 - 9e-7, -1.0 + 1e-12])
@@ -250,7 +250,7 @@ def test_glog_next_to_the_logarithmic_mean_matches_oracle(p):
     # branch stays accurate right next to it, out to the log-space lane
     for r in (1.5, 1e8, 1e100, 1e305):
         ref = float(hp_oracles.glog(p, r, 1.0))
-        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12), r
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12, abs=0.0), r
 
 
 @pytest.mark.parametrize("p", [9e-7, -9e-7, 2e-6, -2e-6, 1e-5, -1e-5, 1e-3, -1e-3])
@@ -259,7 +259,7 @@ def test_glog_next_to_the_identric_mean_matches_oracle(p):
     # log1p/expm1 rewrite, near and far lanes alike
     for r in (1.0 + 1e-8, 1.5, 1e4, 1e8, 1e100, 1e305):
         ref = float(hp_oracles.glog(p, r, 1.0))
-        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12), r
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-12, abs=0.0), r
 
 
 @pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e-290, -1e-290])
@@ -268,7 +268,7 @@ def test_glog_at_tiny_orders_is_the_identric_mean(p):
     # expm1(-|p|·u) of the small-order rewrite is subnormal at these orders
     for r in (1.0 + 1e-12, 1.0 + 1e-6, 3.0, 1e8, 1e300):
         ident = generalized_logarithmic(0.0, r, 1.0)
-        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ident, rel=1e-15), r
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ident, rel=1e-15, abs=0.0), r
 
 
 @pytest.mark.parametrize("p", [-0.05, -0.02])
@@ -277,7 +277,7 @@ def test_glog_log_space_lane_takes_no_power_of_its_masked_quotient(p):
     # unused tiny quotient there would overflow and warn for p < 0
     for r in (1e150, 1e250, 1e299):
         ref = float(hp_oracles.glog(p, r, 1.0))
-        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-11), r
+        assert generalized_logarithmic(p, r, 1.0) == pytest.approx(ref, rel=1e-11, abs=0.0), r
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, 2.0, 0.5, -0.5, -2.0, -3.0, P0])
@@ -330,7 +330,7 @@ def test_vectorized_evaluation():
     assert m.shape == (3,)
     assert m[2] == 3.0  # the degenerate lane goes through the series branch
     lp = generalized_logarithmic(2.0, a, b)
-    assert lp[0] == pytest.approx(math.sqrt(13 / 3), rel=1e-15)
+    assert lp[0] == pytest.approx(math.sqrt(13 / 3), rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------- plumbing
@@ -389,6 +389,13 @@ def test_every_accepted_name_resolves_to_its_label():
     assert parse("identric")[1](1.0, 3.0) == generalized_logarithmic(0.0, 1.0, 3.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_glog_kernel_rejects_a_non_finite_order(p):
+    # parse turns "L:inf" away before the kernel sees it; the kernel checks too
+    with pytest.raises(ParameterError):
+        generalized_logarithmic(p, 1.0, 3.0)
+
+
 # The tolerances of the value and stability tests above: a few ulp for the
 # algebraic means, 1e-12 for the transcendental ones.
 ORACLE_RTOL = {"P": 1e-12, "T": 1e-12, "M": 1e-12, "I": 1e-12, "L": 1e-12}
@@ -401,7 +408,7 @@ def test_registry_kernels_match_their_oracles(symbol):
     for r in np.geomspace(1.0 + 1e-8, 1e8, 40):
         for a, b in ((float(r), 1.0), (0.5, 0.5 * float(r))):
             want = float(hp_oracles.MEANS[symbol](a, b))
-            assert kernel(a, b) == pytest.approx(want, rel=rtol), (a, b)
+            assert kernel(a, b) == pytest.approx(want, rel=rtol, abs=0.0), (a, b)
 
 
 # ---------------------------------------------------------------- pinned bits

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hp_oracles
+import meanslab.ratios as ratios
 from meanslab import (
     THETA_STAR,
     DegeneratePairError,
@@ -30,8 +31,8 @@ LIMITS_EXACT = {"h1": (1, 12), "h2": (1, 2), "h3": (2, 5)}
 def test_theta_star_value():
     # log(1 + sqrt 2) and asinh(1) are the same number; the two library's
     # routes may disagree by an ulp
-    assert THETA_STAR == pytest.approx(math.asinh(1.0), rel=5e-16)
-    assert THETA_STAR == pytest.approx(float(hp_oracles.theta_star()), rel=5e-16)
+    assert THETA_STAR == pytest.approx(math.asinh(1.0), rel=5e-16, abs=0.0)
+    assert THETA_STAR == pytest.approx(float(hp_oracles.theta_star()), rel=5e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
@@ -39,7 +40,7 @@ def test_limits_at_zero(which):
     assert abs(h_eval(which, 1e-8) - LIMITS[which]) < 1e-8
     # θ² underflows to 0 in the series quotient, which leaves a_0/b_0
     for theta in (0.0, 1e-300, 1e-160, 1e-100):
-        assert h_eval(which, theta) == pytest.approx(LIMITS[which], rel=1e-15), theta
+        assert h_eval(which, theta) == pytest.approx(LIMITS[which], rel=1e-15, abs=0.0), theta
 
 
 # The unified proof: each sharp constant of Theorems 3.1, 3.3 and 3.4 is
@@ -65,7 +66,7 @@ def test_sharp_constants_are_h_end_values(name, which, at_zero, shift):
             end = hp_oracles.H_FUNCS[which](hp_oracles.theta_star())
         assert abs(c.value - (end - shift)) < mp.mpf("1e-35")
     theta = 0.0 if at_zero else THETA_STAR
-    assert h_eval(which, theta) - shift == pytest.approx(c.float_value, rel=1e-14)
+    assert h_eval(which, theta) - shift == pytest.approx(c.float_value, rel=1e-14, abs=0.0)
 
 
 def test_h1_endpoint_relates_to_the_ratio_bound():
@@ -80,7 +81,7 @@ def test_matches_naive_form_at_moderate_theta(which):
     rng = np.random.default_rng(7)
     for theta in rng.uniform(1e-3, THETA_STAR, 50):
         assert h_eval(which, theta) == pytest.approx(
-            float(hp_oracles.H_FUNCS[which](theta)), rel=1e-13
+            float(hp_oracles.H_FUNCS[which](theta)), rel=1e-13, abs=0.0
         )
 
 
@@ -90,7 +91,7 @@ def test_accurate_down_to_tiny_theta(which):
     for theta in (1e-12, 1e-8, 1e-5, 9.99e-4, 1.01e-3, 1e-2, 0.5, 1.999, 1.999999,
                   2.0, 2.000001, 5.0):
         want = float(hp_oracles.H_FUNCS[which](theta))
-        assert h_eval(which, theta) == pytest.approx(want, rel=1e-13), theta
+        assert h_eval(which, theta) == pytest.approx(want, rel=1e-13, abs=0.0), theta
 
 
 def test_h_eval_vectorized_and_validated():
@@ -152,7 +153,8 @@ def test_h_eval_rejects_theta_past_the_overflow_bound(which):
     for theta in (400.0, 800.0, np.array([0.1, 800.0])):
         with pytest.raises(DomainError):
             h_eval(which, theta)
-    assert h_eval(which, 10.0) == pytest.approx(float(hp_oracles.H_FUNCS[which](10.0)), rel=1e-13)
+    want = float(hp_oracles.H_FUNCS[which](10.0))
+    assert h_eval(which, 10.0) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_substitution_theta():
@@ -160,7 +162,7 @@ def test_substitution_theta():
     assert got == pytest.approx(math.asinh(0.5), abs=0)
     # symmetric and scale-free
     assert substitution_theta(PositivePair(1.0, 3.0)) == got
-    assert substitution_theta(PositivePair(3e7, 1e7)) == pytest.approx(got, rel=1e-15)
+    assert substitution_theta(PositivePair(3e7, 1e7)) == pytest.approx(got, rel=1e-15, abs=0.0)
     with pytest.raises(DegeneratePairError):
         substitution_theta(PositivePair(2.0, 2.0))
 
@@ -170,7 +172,7 @@ def test_identity_residuals_on_a_simple_pair():
     assert res.theta == pytest.approx(math.asinh(0.5), abs=0)
     assert res.max_residual < 1e-12
     # (M - C)/CH on (3, 1), from the 30-digit side
-    assert res.ratios[0] == pytest.approx(-0.4219130787649725, rel=1e-14)
+    assert res.ratios[0] == pytest.approx(-0.4219130787649725, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("ratio", [1 + 1e-8, 1 + 1e-6, 1.5, 1e4, 1e8])
@@ -183,7 +185,7 @@ def test_identity_residuals_scale_invariant_ratios():
     small = identity_residuals(PositivePair(3e-4, 1e-4))
     big = identity_residuals(PositivePair(3e5, 1e5))
     for x, y in zip(small.ratios, big.ratios):
-        assert x == pytest.approx(y, rel=1e-13)
+        assert x == pytest.approx(y, rel=1e-13, abs=0.0)
 
 
 def test_identity_residuals_rejects_equal_arguments():
@@ -202,12 +204,24 @@ def test_monotonicity_scans():
         monotonicity_scan("h1", 1)
 
 
+def test_a_scan_records_its_first_violation(monkeypatch):
+    # h2 held flat past θ = 1: the first zero step starts at the first grid
+    # point past 1, in the second range [θ*, 10]
+    good = ratios.h_eval
+    monkeypatch.setattr(ratios, "h_eval", lambda which, t: good(which, np.minimum(t, 1.0)))
+    verdict = monotonicity_scan("h2", 100)
+    grid = np.linspace(THETA_STAR, 10.0, 100)
+    assert not verdict.passed
+    assert verdict.min_gap == 0.0
+    assert verdict.first_violation == grid[grid > 1.0][0]
+
+
 def test_theta_and_identities_at_the_top_of_the_range():
     # a + b overflows there; t is taken of the halved pair, as in the kernels
     top = PositivePair(1.7e308, 1e308)
     scaled = PositivePair(1.7e308 * 2.0**-1020, 1e308 * 2.0**-1020)
     assert substitution_theta(top) == substitution_theta(scaled)
-    assert substitution_theta(top) == pytest.approx(0.2564393783381375, rel=1e-15)
+    assert substitution_theta(top) == pytest.approx(0.2564393783381375, rel=1e-15, abs=0.0)
     assert identity_residuals(top) == identity_residuals(scaled)
 
 

@@ -150,20 +150,20 @@ def test_tampered_ratio_closed_form_is_reported(monkeypatch, sid):
 
 def test_truncated_eval_limits():
     # the constant terms alone: one float division of the exact a_0/b_0
-    assert truncated_quotient("H1", 0.0, 18) == pytest.approx(1 / 12, rel=1e-15)
-    assert truncated_quotient("H2", 0.0, 18) == pytest.approx(1 / 2, rel=1e-15)
-    assert truncated_quotient("H3", 0.0, 18) == pytest.approx(2 / 5, rel=1e-15)
+    assert truncated_quotient("H1", 0.0, 18) == pytest.approx(1 / 12, rel=1e-15, abs=0.0)
+    assert truncated_quotient("H2", 0.0, 18) == pytest.approx(1 / 2, rel=1e-15, abs=0.0)
+    assert truncated_quotient("H3", 0.0, 18) == pytest.approx(2 / 5, rel=1e-15, abs=0.0)
 
 
 def test_truncated_eval_converges_to_the_quotient():
     want = float(hp_oracles.h1(0.5))
-    assert truncated_quotient(SeriesId.H1, 0.5, 30) == pytest.approx(want, rel=1e-14)
+    assert truncated_quotient(SeriesId.H1, 0.5, 30) == pytest.approx(want, rel=1e-14, abs=0.0)
     want = float(hp_oracles.h2(0.25))
-    assert truncated_quotient(SeriesId.H2, 0.25, 30) == pytest.approx(want, rel=1e-14)
+    assert truncated_quotient(SeriesId.H2, 0.25, 30) == pytest.approx(want, rel=1e-14, abs=0.0)
     # 18 terms, as h_eval uses, are enough right up to its switch at θ = 2
     for sid in SeriesId:
         want = float(hp_oracles.H_FUNCS[sid.value.lower()](1.999))
-        assert truncated_quotient(sid, 1.999, 18) == pytest.approx(want, rel=1e-15)
+        assert truncated_quotient(sid, 1.999, 18) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_truncated_eval_tail_shrinks_geometrically():
