@@ -8,8 +8,8 @@ about one of three ratios of entire functions of θ:
 * h2(θ) = (1 - sinhθ/θ + sinh²θ/3) / (cosh θ - sinhθ/θ)  — increasing,
 * h3(θ) = (cosh θ - sinhθ/θ) / (1 + sinh²θ - sinhθ/θ)    — decreasing.
 
-Pairs of positive reals only ever produce θ in (0, θ*) with
-θ* = ln(1 + √2) — that is asinh(1), the image of t → 1 — so the function
+Pairs of positive reals only ever produce θ in (0, θ*] with
+θ* = asinh(1) = ln(1 + √2), the image of t → 1, so the function
 values at 0⁺ and θ* are exactly the sharp constants of the inequality
 catalog.  This module evaluates the ratios accurately over the whole range
 (the quotient of their power series below θ = 2, the closed form from
@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    from_float, from_int, mpf_abs, mpf_add, mpf_asinh, mpf_div, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub, to_float,
+)
 
 from .errors import DegeneratePairError, DomainError, ParameterError
 from .means import PositivePair, _canon, _mean_gap, _ret
@@ -41,8 +43,9 @@ __all__ = [
 ]
 
 # Image of t -> 1 under θ = asinh(t): the right endpoint of the θ range
-# that actual pairs can reach.
-THETA_STAR = math.log(1.0 + math.sqrt(2.0))
+# that actual pairs can reach, correctly rounded (log(1 + sqrt 2) in
+# doubles lands one ulp below it).
+THETA_STAR = math.asinh(1.0)
 
 # Not used by this package: the benchmark imports it to split its h_eval
 # θ grids into a near-zero and a wider band, and keeps it until the
@@ -74,6 +77,17 @@ def _closed_form(sid: SeriesId, th):
     return (c - sc) / (1.0 + s * s - sc)
 
 
+def _series_lane(sid: SeriesId, x2):
+    """h below _SERIES_CUT: the quotient of its two power series in x2 = θ².
+
+    Over a Python float it does the same IEEE operations, in the same order,
+    as over a numpy scalar or array, so h_eval and identity_residuals share
+    its bits.
+    """
+    num, den = coefficient_floats(sid, _SERIES_DEPTH)
+    return _horner(num, x2) / _horner(den, x2)
+
+
 def h_eval(which, theta):
     """Evaluate one of the ratio functions at 0 <= θ <= 300 (scalar or array).
 
@@ -90,8 +104,7 @@ def h_eval(which, theta):
     small = th < _SERIES_CUT
     everywhere = small.all()
     x2 = th * th if everywhere else np.where(small, th * th, 0.0)
-    num, den = coefficient_floats(sid, _SERIES_DEPTH)
-    out = _horner(num, x2) / _horner(den, x2)
+    out = _series_lane(sid, x2)
     if not everywhere:
         out = np.where(small, out, _closed_form(sid, np.where(small, _SERIES_CUT, th)))
     return _ret(out)
@@ -108,7 +121,7 @@ def _gap_theta(pair: PositivePair) -> tuple[float, float]:
 def substitution_theta(pair: PositivePair) -> float:
     """θ = asinh(|a - b|/(a + b)), the substitution variable of the proofs.
 
-    Scale-free and symmetric; always lands in (0, θ*).  Equal arguments have
+    Scale-free and symmetric; always lands in (0, θ*].  Equal arguments have
     no θ and raise.
     """
     return _gap_theta(pair)[1]
@@ -119,9 +132,10 @@ class IdentityResiduals:
     """How well the four substitution identities hold on one pair.
 
     ``ratios`` holds the left-hand sides — (M-C)/CH, (C̄-M)/(Q-M),
-    (Q-M)/(C-M), M/CH — computed in 30-digit arithmetic and rounded;
-    ``residuals`` holds the relative differences against the h-function
-    values at θ as the fast evaluator produces them.
+    (Q-M)/(C-M), M/CH — computed with ``mpmath.libmp`` at 103 bits or more
+    (see :func:`identity_residuals`) and rounded to nearest; ``residuals``
+    holds the relative differences against the h-function values at θ as
+    the fast evaluator produces them.
     """
 
     theta: float
@@ -133,32 +147,48 @@ class IdentityResiduals:
         return max(self.residuals)
 
 
+# Bits of the identity oracle: the 103 that 30 significant digits
+# (mpmath's workdps(30)) set, raised for near-equal pairs.
+_ORACLE_BITS = 103
+_ONE, _THREE = from_int(1), from_int(3)
+
+
 def identity_residuals(pair: PositivePair) -> IdentityResiduals:
     """Check the four mean-ratio identities behind the main comparisons.
 
     The mean differences on the left sides cancel catastrophically in
     doubles when a ≈ b (the interesting regime), so the left sides are
-    computed with mpmath at 30 significant digits, from t = |a - b|/(a + b)
-    with A = 1 (every mean here is A times a function of t); the right sides
-    use the ordinary double-precision evaluator.  The residuals therefore
-    measure exactly the error of the fast path.
+    computed from the exact a and b, with t = |a - b|/(a + b) and A = 1
+    (every mean here is A times a function of t), by ``mpmath.libmp``
+    operations rounded to nearest at p = max(103, 63 - 2e) bits, where
+    e = math.frexp(t)[1]: C - M and Q - M are O(t²) and lose about
+    2·log2(1/t) bits, so p keeps about 63 of them, and every pair with
+    t >= 2^-21 runs at 103 bits.  The right sides are the ordinary
+    double-precision evaluator's own bits: θ <= θ* < 2, so h1-h3 come from
+    ``h_eval``'s series lane.  The residuals therefore measure exactly the
+    error of the fast path.
     """
     t, theta = _gap_theta(pair)
-    h1, h2, h3 = (h_eval(sid, theta) for sid in SeriesId)
-    m_over_ch = 1.0 / (2.0 * t * theta)
+    x2 = theta * theta
+    h1, h2, h3 = (_series_lane(sid, x2) for sid in SeriesId)
+    fast = (h1 - 0.5, h2, h3, 1.0 / (2.0 * t * theta))
 
-    with mp.workdps(30):
-        a, b = mp.mpf(pair.a), mp.mpf(pair.b)
-        t = abs(a - b) / (a + b)
-        t2 = t * t
-        M = t / mp.asinh(t)
-        C = 1 + t2
-        CH = 2 * t2
-        CBAR = 1 + t2 / 3
-        Q = mp.sqrt(C)
-        exact = ((M - C) / CH, (CBAR - M) / (Q - M), (Q - M) / (C - M), M / CH)
-        residuals = tuple(float(abs(v - r) / abs(r)) for r, v in zip(exact, (h1 - 0.5, h2, h3, m_over_ch)))
-        ratios = tuple(float(r) for r in exact)
+    p, n = max(_ORACLE_BITS, 63 - 2 * math.frexp(t)[1]), "n"  # bits; round to nearest
+    a, b = from_float(pair.a), from_float(pair.b)
+    t = mpf_div(mpf_abs(mpf_sub(a, b, p, n)), mpf_add(a, b, p, n), p, n)
+    t2 = mpf_mul(t, t, p, n)
+    M = mpf_div(t, mpf_asinh(t, p, n), p, n)
+    C = mpf_add(t2, _ONE, p, n)
+    CH = mpf_shift(t2, 1)  # 2t², exact
+    CBAR = mpf_add(mpf_div(t2, _THREE, p, n), _ONE, p, n)
+    QM = mpf_sub(mpf_sqrt(C, p, n), M, p, n)
+    exact = (mpf_div(mpf_sub(M, C, p, n), CH, p, n), mpf_div(mpf_sub(CBAR, M, p, n), QM, p, n),
+             mpf_div(QM, mpf_sub(C, M, p, n), p, n), mpf_div(M, CH, p, n))
+    residuals = tuple(
+        to_float(mpf_div(mpf_abs(mpf_sub(from_float(v), r, p, n)), mpf_abs(r), p, n), rnd=n)
+        for r, v in zip(exact, fast)
+    )
+    ratios = tuple(to_float(r, rnd=n) for r in exact)
     return IdentityResiduals(theta=theta, ratios=ratios, residuals=residuals)
 
 

@@ -29,10 +29,13 @@ LIMITS_EXACT = {"h1": (1, 12), "h2": (1, 2), "h3": (2, 5)}
 
 
 def test_theta_star_value():
-    # log(1 + sqrt 2) and asinh(1) are the same number; the two library's
-    # routes may disagree by an ulp
-    assert THETA_STAR == pytest.approx(math.asinh(1.0), rel=5e-16, abs=0.0)
-    assert THETA_STAR == pytest.approx(float(hp_oracles.theta_star()), rel=5e-16, abs=0.0)
+    # θ* = asinh(1) = ln(1 + √2), correctly rounded; log(1 + sqrt 2) in
+    # doubles lands one ulp below it
+    assert THETA_STAR == float(hp_oracles.theta_star())
+    assert THETA_STAR == math.asinh(1.0)
+    # every pair with a/b past about 1e16 has t = 1 and reaches θ* exactly
+    assert substitution_theta(PositivePair(1e16, 1.0)) == THETA_STAR
+    assert substitution_theta(PositivePair(1.7e308, 5e-324)) == THETA_STAR
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
@@ -175,10 +178,64 @@ def test_identity_residuals_on_a_simple_pair():
     assert res.ratios[0] == pytest.approx(-0.4219130787649725, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("ratio", [1 + 1e-8, 1 + 1e-6, 1.5, 1e4, 1e8])
-def test_identity_residuals_across_the_ratio_range(ratio):
-    res = identity_residuals(PositivePair(ratio, 1.0))
-    assert res.max_residual < 1e-11
+# a/b from 1e8 down to one ulp above 1, and the pair one ulp below 1
+RATIO_RANGE = [(r, 1.0) for r in (1 + 1e-8, 1 + 1e-6, 1.5, 1e4, 1e8, 1 + 1e-10, 1 + 1e-12, 1 + 2**-52)]
+RATIO_RANGE.append((1.0, 1 - 2**-53))
+
+
+@pytest.mark.parametrize("a,b", RATIO_RANGE, ids=[str(a) if b == 1.0 else f"{a}-{b}" for a, b in RATIO_RANGE])
+def test_identity_residuals_across_the_ratio_range(a, b):
+    # near a = b the oracle's C - M and Q - M cancel about 2·log2(1/t) bits,
+    # which its working precision makes up for down to the one-ulp pairs
+    res = identity_residuals(PositivePair(a, b))
+    assert res.max_residual < 1e-15
+
+
+def _workdps30_identity_residuals(pair):
+    """identity_residuals as an mpmath context at 30 digits computed it:
+    the reference for every pair with t >= 2^-21, where the oracle works at
+    103 bits."""
+    t, theta = ratios._gap_theta(pair)
+    h1, h2, h3 = (h_eval(sid, theta) for sid in SeriesId)
+    m_over_ch = 1.0 / (2.0 * t * theta)
+    with mp.workdps(30):
+        a, b = mp.mpf(pair.a), mp.mpf(pair.b)
+        t = abs(a - b) / (a + b)
+        t2 = t * t
+        M = t / mp.asinh(t)
+        C = 1 + t2
+        CH = 2 * t2
+        CBAR = 1 + t2 / 3
+        Q = mp.sqrt(C)
+        exact = ((M - C) / CH, (CBAR - M) / (Q - M), (Q - M) / (C - M), M / CH)
+        residuals = tuple(float(abs(v - r) / abs(r)) for r, v in zip(exact, (h1 - 0.5, h2, h3, m_over_ch)))
+        ratios_ = tuple(float(r) for r in exact)
+    return theta, ratios_, residuals
+
+
+ORACLE_EDGE_PAIRS = [(3.0, 1.0), (1e8, 1.0), (1e300, 1.0), (1.7e308, 1e308), (1.7e308, 5e-324),
+                     (5e-324, 1e-323), (1e-300, 3e-310)]
+
+
+def test_identity_residuals_keep_the_bits_of_the_30_digit_oracle():
+    # criterion 4's distribution (a/b log-uniform in (1, 1e8], b = 1) and
+    # the ends of the double range: every bit as an mpmath context gave it
+    rng = np.random.default_rng(2024)
+    pairs = [(float(r), 1.0) for r in 10.0 ** rng.uniform(0.0, 8.0, 2000)] + ORACLE_EDGE_PAIRS
+    for a, b in pairs:
+        pair = PositivePair(a, b)
+        assert ratios._gap_theta(pair)[0] >= 2.0**-21, pair
+        res = identity_residuals(pair)
+        assert (res.theta, res.ratios, res.residuals) == _workdps30_identity_residuals(pair), pair
+
+
+def test_identity_residuals_measure_the_evaluators_own_bits(monkeypatch):
+    # h1-h3 shifted by 1e-9 relative in the series lane that h_eval and the
+    # oracle share: the residuals must see it
+    good = ratios._series_lane
+    monkeypatch.setattr(ratios, "_series_lane", lambda sid, x2: good(sid, x2) * (1.0 + 1e-9))
+    for a, b in [(3.0, 1.0), (1 + 1e-6, 1.0), (1e8, 1.0)]:
+        assert identity_residuals(PositivePair(a, b)).max_residual > 1e-11, (a, b)
 
 
 def test_identity_residuals_scale_invariant_ratios():
