@@ -64,6 +64,8 @@ _THETA_MAX = 300.0
 # tail far below an ulp.
 _SERIES_CUT = 2.0
 _SERIES_DEPTH = 18
+# each h's numerator and denominator coefficients, highest power first, for _horner
+_SERIES_COEFFS = {sid: [c[::-1].tolist() for c in coefficient_floats(sid, _SERIES_DEPTH)] for sid in SeriesId}
 
 
 def _closed_form(sid: SeriesId, th):
@@ -84,7 +86,7 @@ def _series_lane(sid: SeriesId, x2):
     as over a numpy scalar or array, so h_eval and identity_residuals share
     its bits.
     """
-    num, den = coefficient_floats(sid, _SERIES_DEPTH)
+    num, den = _SERIES_COEFFS[sid]
     return _horner(num, x2) / _horner(den, x2)
 
 

@@ -23,10 +23,10 @@ constant's own units.  Three things can be done with records:
   violating pair near the endpoint where the constant is attained, which
   demonstrates that the constant cannot be improved.
 
-Margins are classified against a noise threshold of 100 ulp of the operand
-scale: a strict analytic inequality can round to equality in doubles, so
-anything smaller in magnitude is reported as *indeterminate* rather than as
-a pass or a failure.
+Margins are classified against a noise threshold of 100 ulp of the means
+they are formed from: a strict analytic inequality can round to equality in
+doubles, so anything smaller in magnitude is reported as *indeterminate*
+rather than as a pass or a failure, from 2^-1074 to 1.8e308 alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import _TINY, _TOP, MEANS, PositivePair, ch_difference, generalized_logarithmic
+from .means import MEANS, PositivePair, ch_difference, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-_NOISE_FACTOR = 100.0
+_NOISE = 100.0 * _EPS * 16.0  # 100 ulp of a noise sum, which is in 2^-4 units
 _PROBE_STEPS = 64
 # Pairs per block of verify_all, small enough that a block's mean values and
 # temporaries stay in cache.  verify-all at 1e6 pairs on a 2-core Xeon took
@@ -76,9 +76,10 @@ class MarginSample:
 
     A ``None`` side means the record makes no claim on that side.  Scales
     carry the magnitude of the quantities whose subtraction produced the
-    margin, so ``100 eps * scale`` bounds the rounding noise in it; for a
-    quotient ``(Z - Y)/(X - W)`` that is the means' magnitudes over
-    ``|X - W|``, plus 1 for the rounding of the quotient itself.
+    margin, in units of 2^-4 (see :func:`_noise_sum`), so
+    ``100 eps * 16 * scale`` bounds the rounding noise in it; for a quotient
+    ``(Z - Y)/(X - W)`` that is the means' magnitudes over ``|X - W|``, plus
+    1 for the rounding of the quotient itself.
     """
 
     lower: object
@@ -179,6 +180,15 @@ def _pair_means(a: float, b: float) -> _Means:
     return _Means(a, b)
 
 
+def _noise_sum(terms):
+    """The sum of the terms (means, so positive) in 2^-4 units, which is
+    exact in the normal range and keeps up to fifteen means finite.
+    The start value counts each term as at least 2^-1022, which covers the
+    absolute rounding noise of a subnormal mean and changes no sum whose
+    first term is above about 1e-290."""
+    return sum((2.0**-4 * v for v in terms), len(terms) * 2.0**-1026)
+
+
 def _quotient(kernels, means, lo, up):
     # lo*(X - W) < Z - Y < up*(X - W) on R = (Z - Y)/(X - W), an absent Y or W
     # being 0.  R carries cancellation noise of order (Z + Y + X + W)/|X - W|
@@ -192,7 +202,7 @@ def _quotient(kernels, means, lo, up):
     if masked:
         den = np.where(zero, 1.0, den)
     ratio, sign = num / den, np.sign(den)
-    scale = sum(positive[1:], positive[0]) / abs(den) + 1.0
+    scale = _noise_sum(positive) / abs(den) + 2.0**-4
 
     def margin(m):
         return np.where(zero, 0.0, sign * m) if masked else sign * m
@@ -204,10 +214,8 @@ def _quotient(kernels, means, lo, up):
 
 def _ordered(values):
     # Each value below the next: the smallest consecutive gap is the margin.
-    values = np.stack([np.asarray(v, dtype=np.float64) for v in values])
-    gaps = np.diff(values, axis=0)
-    scale = np.abs(values).sum(axis=0)
-    return MarginSample(gaps.min(axis=0), None, scale, None)
+    gaps = np.diff(np.stack([np.asarray(v, dtype=np.float64) for v in values]), axis=0)
+    return MarginSample(gaps.min(axis=0), None, _noise_sum(values), None)
 
 
 def _chain(kernels, means, lo, up):
@@ -228,7 +236,7 @@ def _product(kernels, means, lo, up):
     y2 = y * y
     low_ref = x * z
     up_ref = 0.5 * (x * x + z * z)
-    return MarginSample(y2 - low_ref, up_ref - y2, y2 + low_ref, y2 + up_ref)
+    return MarginSample(y2 - low_ref, up_ref - y2, _noise_sum((y2, low_ref)), _noise_sum((y2, up_ref)))
 
 
 def _window(kernels, means, p, q):
@@ -236,9 +244,7 @@ def _window(kernels, means, p, q):
     m = means[kernels[0]]
     below = generalized_logarithmic(p, means.a, means.b)
     above = generalized_logarithmic(q, means.a, means.b)
-    scale_lo = np.abs(m) + np.abs(below)
-    scale_up = np.abs(m) + np.abs(above)
-    return MarginSample(m - below, above - m, scale_lo, scale_up)
+    return MarginSample(m - below, above - m, _noise_sum((m, below)), _noise_sum((m, above)))
 
 
 def _quotient_symbols(text: str) -> tuple:
@@ -381,7 +387,7 @@ def _judge(margins, scales):
     a pass; a margin within the noise threshold is in neither (scales are not
     negative, so a failure is a negative margin).  Takes arrays, or floats for
     one pair, where numpy scalars would add per-call cost."""
-    threshold = _NOISE_FACTOR * _EPS * scales
+    threshold = _NOISE * scales
     return margins < -threshold, margins > threshold
 
 
@@ -414,36 +420,21 @@ def verify(rec, pair: PositivePair) -> Margins:
 
     The mean values on one pair are computed once and shared by every
     record verified on it in turn, so a loop over the catalog evaluates
-    each mean once per pair.  Past 2^1022 the sums of means overflow
-    (``chain`` adds seven), so a record of degree 0 or 1 is judged at the
-    pair times 2^-4, its margins multiplied back by 16^degree, when that
-    copy is exact: when its smaller argument is a normal double.  An even
-    power of 2 keeps G's square root exact too, so a ratio form's margins
-    are those of the pair scaled by any even power of 2, bit for bit.
-    Otherwise the pair is evaluated as given, and a noise scale that
-    overflows leaves its side indeterminate.  ``product`` (degree 2) is not
-    rescaled: its squares overflow from about 1e154 and underflow below
-    about 1e-162, and its margins are indeterminate there.
+    each mean once per pair.  ``product`` (degree 2) squares its means,
+    which overflow from about 1e154 and underflow below about 1e-162; its
+    margins are indeterminate there.
     """
     rec = _resolve(rec)
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
-    top = rec.homogeneity_degree in (0, 1) and max(pair.a, pair.b) > _TOP
-    scale = 2.0**-4 if top and 2.0**-4 * min(pair.a, pair.b) >= _TINY else 1.0
-    if top and scale == 1.0:  # a scaled copy would lose bits
-        with np.errstate(over="ignore"):
-            sample = rec.margins(pair.a, pair.b)
-    else:
-        sample = rec.margins(scale * pair.a, scale * pair.b)
-    back = 16.0**rec.homogeneity_degree if scale != 1.0 else 1.0
+    sample = rec.margins(pair.a, pair.b)
     sides = {}
     for side in _SIDES:
         m = getattr(sample, side)
         if m is not None:
-            m = float(m)
+            m = sides[side] = float(m)
             fail, ok = _judge(m, float(getattr(sample, side + "_scale")))
-            sides[side] = m * back
             sides[side + "_state"] = "fail" if fail else "ok" if ok else "indeterminate"
     return Margins(rec.id, **sides)
 

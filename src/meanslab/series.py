@@ -207,9 +207,9 @@ def coefficient_floats(series_id: SeriesId | str, depth: int) -> tuple[np.ndarra
     return num, den
 
 
-def _horner(coeffs: np.ndarray, x2):
-    """Σ coeffs[n]·x2ⁿ by Horner's rule, elementwise over ``x2``."""
+def _horner(coeffs_high_first: list[float], x2):
+    """Σ c_n·x2ⁿ by Horner's rule, elementwise over ``x2``, c_n highest power first."""
     acc = 0.0
-    for c in coeffs[::-1].tolist():
+    for c in coeffs_high_first:
         acc = acc * x2 + c
     return acc

@@ -118,6 +118,14 @@ def test_verify_decides_a_pair_at_the_top_of_the_range(capsys):
     assert out.startswith("PASS")
 
 
+@pytest.mark.parametrize("record_id", ["chain", "neuman-QA"])
+def test_verify_at_the_least_subnormals_is_no_certified_failure(capsys, record_id):
+    # M, L and the others round to a few ulp of 2^-1074 there: noise, not a failure
+    code, out = run_cli(capsys, "verify", "--record", record_id, "--a", "1e-323", "--b", "5e-324")
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_verify_all_formats_carry_the_same_records(capsys):
     code, human = run_cli(capsys, "verify-all", "--samples", "500")
     assert code == 0
