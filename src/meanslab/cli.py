@@ -5,8 +5,8 @@ produced a certified failure, 2 on usage, domain or I/O errors, and 3 when
 the result is inconclusive (a sharpness probe found no witness).
 
 Every subcommand takes ``--format`` and ``--output``.  Only ``verify`` and
-``verify-all`` take ``--seed`` and ``--samples``, and only ``series-check``
-takes ``--depth``; a count below 1 is a usage error.
+``verify-all`` take ``--seed`` and ``--samples``, not ``verify`` on one pair,
+and only ``series-check`` takes ``--depth``; a count below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import mpmath as mp
-
 from . import reporting
-from .constants import sharp_constants, solve_p0
+from .constants import p0_residual, sharp_constants, solve_p0
 from .errors import DomainError, NotApplicableError, ParameterError
 from .means import PositivePair, parse
 from .records import catalog, record, sharpness_probe, verify, verify_all, verify_random
@@ -32,6 +30,11 @@ def count(text: str) -> int:
     return value
 
 
+def _sampling(args) -> tuple[int, int]:
+    """--samples and --seed of a sampled run; None, a flag not given, is 100000 and 42."""
+    return args.samples or 100_000, 42 if args.seed is None else args.seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -42,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--output", dest="output_path", default=None)
     sampling = argparse.ArgumentParser(add_help=False, parents=[common])
-    sampling.add_argument("--seed", type=int, default=42)
-    sampling.add_argument("--samples", type=count, default=100_000)
+    sampling.add_argument("--seed", type=int, default=None)
+    sampling.add_argument("--samples", type=count, default=None)
 
     parser = argparse.ArgumentParser(
         prog="meanslab",
@@ -96,11 +99,7 @@ def _cmd_constants(args):
 
 def _cmd_p0(args):
     root = solve_p0()
-    with mp.workdps(40):
-        residual = abs(
-            mp.power(root + 1, 1 / mp.mpf(root)) - 2 * mp.log(1 + mp.sqrt(2))
-        )
-    return [reporting.p0_row(root, float(residual))], True
+    return [reporting.p0_row(root, p0_residual(root))], True
 
 
 def _cmd_series_check(args):
@@ -113,14 +112,16 @@ def _cmd_verify(args):
     if (args.a is None) != (args.b is None):
         raise ParameterError("verify needs both --a and --b, or neither")
     if args.a is not None:
+        if (args.samples, args.seed) != (None, None):
+            raise ParameterError("verify on one pair reads no --samples or --seed")
         margins = verify(rec, PositivePair(args.a, args.b))
         return [reporting.pair_margins_row(margins, args.a, args.b)], margins.passed
-    report = verify_random(rec, args.samples, args.seed)
+    report = verify_random(rec, *_sampling(args))
     return [reporting.report_row(report)], report.passed
 
 
 def _cmd_verify_all(args):
-    reports = verify_all(catalog(), args.samples, args.seed)
+    reports = verify_all(catalog(), *_sampling(args))
     return [reporting.report_row(r) for r in reports], all(r.passed for r in reports)
 
 

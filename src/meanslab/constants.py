@@ -22,7 +22,7 @@ import mpmath as mp
 
 from .errors import ParameterError
 
-__all__ = ["SharpConstant", "sharp_constants", "constant", "expr_value", "solve_p0"]
+__all__ = ["SharpConstant", "sharp_constants", "constant", "expr_value", "solve_p0", "p0_residual"]
 
 _DPS = 40
 
@@ -65,22 +65,27 @@ def _node_value(node, text: str) -> mp.mpf:
     raise ParameterError(f"unsupported term {ast.unparse(node)!r} in expression {text!r}")
 
 
+def _p0_gap(p: mp.mpf) -> mp.mpf:
+    """(p+1)^(1/p) - 2 ln(1+√2) at the current precision; p0 is its root."""
+    return mp.power(p + 1, 1 / p) - 2 * mp.log(1 + mp.sqrt(2))
+
+
 @lru_cache(maxsize=1)
 def _p0_hp() -> mp.mpf:
-    """The root of (p+1)^(1/p) = 2 ln(1+√2), to well past 40 digits."""
+    """The root p0 of :func:`_p0_gap`, to well past 40 digits."""
     with mp.workdps(60):
-        target = 2 * mp.log(1 + mp.sqrt(2))
-
-        def g(p):
-            return mp.power(p + 1, 1 / p) - target
-
-        root = mp.findroot(g, mp.mpf("1.84"))
-    return root
+        return mp.findroot(_p0_gap, mp.mpf("1.84"))
 
 
 def solve_p0() -> float:
     """The critical exponent p0, rounded to the nearest double."""
     return float(_p0_hp())
+
+
+def p0_residual(p: float) -> float:
+    """The absolute :func:`_p0_gap` at p, to 40 digits, rounded to the nearest double."""
+    with mp.workdps(_DPS):
+        return float(abs(_p0_gap(mp.mpf(p))))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from mpmath.libmp import (
 
 from .errors import DegeneratePairError, DomainError, ParameterError
 from .means import PositivePair, _canon, _mean_gap, _ret
-from .series import SeriesId, _horner, coefficient_floats, series
+from .series import SeriesId, series
 
 __all__ = [
     "TAU_H",
@@ -64,8 +64,17 @@ _THETA_MAX = 300.0
 # tail far below an ulp.
 _SERIES_CUT = 2.0
 _SERIES_DEPTH = 18
-# each h's numerator and denominator coefficients, highest power first, for _horner
-_SERIES_COEFFS = {sid: [c[::-1].tolist() for c in coefficient_floats(sid, _SERIES_DEPTH)] for sid in SeriesId}
+# each h's a_n and b_n as the nearest doubles, highest power first, for _horner
+_SERIES_COEFFS = {sid: [[float(coeff(n)) for n in reversed(range(_SERIES_DEPTH))]
+                        for coeff in (series(sid).numerator_coeff, series(sid).denominator_coeff)] for sid in SeriesId}
+
+
+def _horner(coeffs_high_first: list[float], x2):
+    """Σ c_n·x2ⁿ by Horner's rule, elementwise over ``x2``, c_n highest power first."""
+    acc = 0.0
+    for c in coeffs_high_first:
+        acc = acc * x2 + c
+    return acc
 
 
 def _closed_form(sid: SeriesId, th):

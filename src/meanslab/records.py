@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -133,12 +134,13 @@ class InequalityRecord:
     def sampler(self) -> str:
         """How :func:`verify_random` draws pairs: ``log-ratio`` everywhere,
         ``unit-interval`` inside a restricted domain."""
-        return "unit-interval" if self.domain_note else "log-ratio"
+        return "log-ratio" if _FORMS[self.form].domain is None else "unit-interval"
 
     @property
     def domain_note(self) -> str | None:
         """The domain restriction of the inequality, if it has one."""
-        return _FORMS[self.form].domain
+        domain = _FORMS[self.form].domain
+        return None if domain is None else "requires {} < a, b < {}".format(*map(Fraction, domain))
 
     def margins(self, a, b, *, lower_c: float | None = None, upper_c: float | None = None) -> MarginSample:
         """Margins on (a, b) with optional overrides for the constants.
@@ -256,7 +258,7 @@ def _quotient_symbols(text: str) -> tuple:
 class _Form(NamedTuple):
     margins: Callable  # (kernels, means, lower bound, upper bound) -> MarginSample
     degree: int | None = 1
-    domain: str | None = None
+    domain: tuple[float, float] | None = None  # the open interval both arguments lie in
     symbols: Callable = str.split  # the spec's means text -> symbols, in margin order
 
 
@@ -265,7 +267,7 @@ _FORMS = {
     "chain": _Form(_chain),
     "product-bound": _Form(_product, degree=2),
     "exponent-window": _Form(_window),
-    "ky-fan-chain": _Form(_ky_fan, degree=None, domain="requires 0 < a, b < 1/2"),
+    "ky-fan-chain": _Form(_ky_fan, degree=None, domain=(0.0, 0.5)),
 }
 
 
@@ -407,7 +409,8 @@ class Margins:
 
 
 def _check_domain(rec: InequalityRecord, a: float, b: float) -> None:
-    if rec.domain_note is not None and not (0.0 < a < 0.5 and 0.0 < b < 0.5):
+    domain = _FORMS[rec.form].domain
+    if domain is not None and not (domain[0] < a < domain[1] and domain[0] < b < domain[1]):
         raise NotApplicableError(f"{rec.id}: {rec.domain_note}")
 
 
@@ -455,9 +458,9 @@ class VerificationReport:
     passed: bool
 
 
-def _sample_pairs(sampler: str, rng: np.random.Generator, count: int):
-    if sampler == "unit-interval":
-        low, high = 1e-6, 0.5 - 1e-6
+def _sample_pairs(domain: tuple[float, float] | None, rng: np.random.Generator, count: int):
+    if domain is not None:  # uniform, 1e-6 inside either end
+        low, high = domain[0] + 1e-6, domain[1] - 1e-6
         a = rng.uniform(low, high, count)
         b = rng.uniform(low, high, count)
         return a, b
@@ -525,15 +528,15 @@ def verify_all(records, count: int, seed: int) -> tuple[VerificationReport, ...]
     if count < 1:
         raise ParameterError("sample count must be >= 1")
     for sampler in dict.fromkeys(fold.rec.sampler for fold in folds):
-        _fold_sample([f for f in folds if f.rec.sampler == sampler], sampler, int(count), seed)
+        _fold_sample([f for f in folds if f.rec.sampler == sampler], int(count), seed)
     return tuple(fold.report(int(count), int(seed)) for fold in folds)
 
 
-def _fold_sample(folds, sampler: str, count: int, seed: int) -> None:
-    # One whole draw for the records of one sampler (drawn block by block,
-    # the random stream would differ), walked in blocks whose mean values
-    # all of them read.
-    a, b = _sample_pairs(sampler, np.random.default_rng(seed), count)
+def _fold_sample(folds, count: int, seed: int) -> None:
+    # One whole draw for the records of one sampler, from the domain they
+    # share (drawn block by block, the random stream would differ), walked
+    # in blocks whose mean values all of them read.
+    a, b = _sample_pairs(_FORMS[folds[0].rec.form].domain, np.random.default_rng(seed), count)
     for start in range(0, count, _BLOCK):
         means = _Means(a[start : start + _BLOCK], b[start : start + _BLOCK])
         for fold in folds:

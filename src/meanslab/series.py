@@ -8,9 +8,9 @@ c_n = a_n/b_n and of the differences c_{n+1} - c_n, whose constant sign is
 what makes the quotients monotone; and :func:`difference_sign_check`, the
 one exact check of both closed forms against the numerators.
 
-Everything here is exact integer arithmetic; the only floating point is
-:func:`coefficient_floats` and the Horner sum at the bottom, which
-:func:`meanslab.ratios.h_eval` uses below θ = 2.
+Everything here is exact integer and rational arithmetic; the doubles
+that :func:`meanslab.ratios.h_eval` sums below θ = 2 are rounded from
+these coefficients in :mod:`meanslab.ratios`.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from itertools import pairwise
 from typing import Callable
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -33,7 +30,6 @@ __all__ = [
     "DifferenceReport",
     "series",
     "difference_sign_check",
-    "coefficient_floats",
 ]
 
 
@@ -193,23 +189,3 @@ def difference_sign_check(series_id: SeriesId | str, depth: int = 200) -> Differ
         passed=first_failure is None,
     )
 
-
-@lru_cache(maxsize=None)
-def coefficient_floats(series_id: SeriesId | str, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients a_0..a_{depth-1} and b_0..b_{depth-1} as doubles.
-
-    float(Fraction) rounds to nearest, so each entry is the correctly
-    rounded value of the exact rational.  The arrays are cached and shared.
-    """
-    s = series(series_id)
-    num = np.array([float(s.numerator_coeff(n)) for n in range(depth)])
-    den = np.array([float(s.denominator_coeff(n)) for n in range(depth)])
-    return num, den
-
-
-def _horner(coeffs_high_first: list[float], x2):
-    """Σ c_n·x2ⁿ by Horner's rule, elementwise over ``x2``, c_n highest power first."""
-    acc = 0.0
-    for c in coeffs_high_first:
-        acc = acc * x2 + c
-    return acc

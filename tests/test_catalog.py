@@ -5,6 +5,7 @@ import importlib
 import math
 import pkgutil
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +19,8 @@ from meanslab import (
     ParameterError,
     PositivePair,
     catalog,
+    constant,
+    expr_value,
     record,
     sharp_constants,
     sharpness_probe,
@@ -518,6 +521,57 @@ def test_identities_between_records_in_the_quotient_unit():
         assert float(c31.upper) == float(t31.lower)
         assert float(c32.lower) == pytest.approx(float(t31.upper), rel=1e-11, abs=0.0), pair
         assert float(c32.upper) == pytest.approx(float(t31.lower), rel=1e-11, abs=0.0), pair
+
+
+# Every mean is A·φ(t) with t = |a - b|/(a + b).  Near a/b → 1 each is
+# A·(1 + d·t² + O(t⁴)) and CH is A·2t²; far, at a/b → ∞, t → 1 and φ(1),
+# in the constants' grammar, is the limit.
+D_NEAR = {"A": Fraction(0), "G": Fraction(-1, 2), "H": Fraction(-1), "Cbar": Fraction(1, 3),
+          "C": Fraction(1), "Q": Fraction(1, 2), "M": Fraction(1, 6), "I": Fraction(-1, 6)}
+PHI_FAR = {"A": "1", "G": "0", "H": "0", "C": "2", "Cbar": "4/3", "Q": "sqrt(2)",
+           "M": "1/ln(1+sqrt(2))", "I": "2/e", "CH": "2"}
+
+
+def _near_terms(text):
+    # "Z-Y", "Z" or "CH" as (its t⁰ coefficient, its t² coefficient) over A
+    terms = [(0, Fraction(2)) if s == "CH" else (1, D_NEAR[s]) for s in text.strip().split("-")]
+    if len(terms) == 1:
+        return terms[0]
+    (z0, z2), (y0, y2) = terms
+    return z0 - y0, z2 - y2
+
+
+def _far_value(text):
+    terms = [expr_value(PHI_FAR[s]) for s in text.strip().split("-")]
+    return terms[0] - terms[1] if len(terms) == 2 else terms[0]
+
+
+def test_sharp_quotient_constants_are_the_limits_of_their_records():
+    # R = (Z - Y)/(X - W) tends to each sharp constant at the end its probe
+    # names and not at the other; R(0⁺) is exact, so a near-end constant's
+    # text is the Fraction's
+    checked = 0
+    for spec in QUOTIENT_RECORDS:
+        sharp = [(side, given[1]) for side, given in (("lower", spec.lower), ("upper", spec.upper))
+                 if isinstance(given, tuple)]
+        if not sharp:  # amt: fixed bounds, and T has no entry above
+            continue
+        num_text, den_text = spec.means.split("/")
+        (num0, num2), (den0, den2) = _near_terms(num_text), _near_terms(den_text)
+        assert den0 == 0 and den2 != 0, spec.id
+        near = num2 / den2 if num0 == 0 else None  # "Z / CH" grows without bound near a = b
+        with mp.workdps(40):
+            limits = {"near": None if near is None else mp.mpf(near.numerator) / near.denominator,
+                      "far": _far_value(num_text) / _far_value(den_text)}
+            for side, endpoint in sharp:
+                const = constant(f"{spec.id}.{side}")
+                other = "far" if endpoint == "near" else "near"
+                assert abs(limits[endpoint] - const.value) < mp.mpf("1e-35"), const.name
+                assert limits[other] is None or abs(limits[other] - const.value) > mp.mpf("1e-35"), const.name
+                if endpoint == "near":
+                    assert const.exact_expr == str(near), const.name
+                checked += 1
+    assert checked == 23
 
 
 def test_a_denominator_that_rounds_to_zero_gives_indeterminate_margins():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import doctest
 import hashlib
 import io
 import json
@@ -221,6 +222,8 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify-all", "--format", "yaml"]) == 2
     assert run(["verify", "--record", "no-such-record"]) == 2
     assert run(["verify", "--record", "thm3.1", "--a", "3"]) == 2
+    assert run(["verify", "--record", "thm3.1", "--a", "3", "--b", "1", "--samples", "5"]) == 2
+    assert run(["verify", "--record", "thm3.1", "--a", "3", "--b", "1", "--seed", "42"]) == 2
     assert run(["sharpness", "--record", "chain"]) == 2
     assert run(["sharpness", "--record", "thm3.1", "--epsilon", "-1"]) == 2
     assert run(["sharpness", "--record", "thm3.1", "--epsilon", "inf"]) == 2
@@ -257,11 +260,23 @@ def test_sharpness_without_a_witness_is_inconclusive(capsys):
     assert out.count("SHARP thm3.1:") == 2
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_python_quick_tour_runs_as_a_doctest():
+    block = _readme().split("\n## Library quick tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README quick tour", "README.md", 0)
+    report = io.StringIO()
+    result = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS).run(test, out=report.write)
+    assert result.attempted > 0
+    assert result.failed == 0, report.getvalue()
+
+
 def _readme_cli_examples():
     # the "$ meanslab ..." lines of the README's CLI block, each with the
     # lines printed under it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("\n## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
     return [pytest.param(command, printed, id=command)
             for command, *printed in (example.splitlines() for example in block.strip().split("\n\n"))]
 

@@ -10,12 +10,14 @@ import pytest
 import hp_oracles
 from meanslab import ParameterError, SeriesId, difference_sign_check
 from meanslab.series import _REGISTRY as SERIES_REGISTRY
-from meanslab.series import coefficient_floats, series
+from meanslab.series import series
 
 
 def truncated_quotient(sid, x, depth):
     """Quotient of the two depth-term float partial sums at x (h_eval's lane below θ = 2)."""
-    num, den = coefficient_floats(sid, depth)
+    s = series(sid)
+    num = np.array([float(s.numerator_coeff(n)) for n in range(depth)])
+    den = np.array([float(s.denominator_coeff(n)) for n in range(depth)])
     x2 = x * x
     return np.polynomial.polynomial.polyval(x2, num) / np.polynomial.polynomial.polyval(x2, den)
 
