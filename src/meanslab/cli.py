@@ -4,9 +4,12 @@ Exit codes: 0 on success (all checks passed), 1 when a verification
 produced a certified failure, 2 on usage, domain or I/O errors, and 3 when
 the result is inconclusive (a sharpness probe found no witness).
 
-Every subcommand takes ``--format`` and ``--output``.  Only ``verify`` and
-``verify-all`` take ``--seed`` and ``--samples``, not ``verify`` on one pair,
-and only ``series-check`` takes ``--depth``; a count below 1 is a usage error.
+Every subcommand takes ``--format`` and ``--output``.  ``verify`` checks
+one record on one pair, and ``verify-all`` samples: only it takes ``--seed``
+and ``--samples``, and ``--record`` runs it on one record.  Only
+``series-check`` takes ``--depth``.  Each command is one library call;
+argparse and the library do the validation, so a count below 1 or an
+unknown record exits 2.
 """
 
 from __future__ import annotations
@@ -16,23 +19,10 @@ import sys
 
 from . import reporting
 from .constants import p0_residual, sharp_constants, solve_p0
-from .errors import DomainError, NotApplicableError, ParameterError
+from .errors import NotApplicableError
 from .means import PositivePair, parse
-from .records import catalog, record, sharpness_probe, verify, verify_all, verify_random
+from .records import catalog, record, sharpness_probe, verify, verify_all
 from .series import SeriesId, difference_sign_check
-
-
-def count(text: str) -> int:
-    """argparse type of --samples and --depth: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _sampling(args) -> tuple[int, int]:
-    """--samples and --seed of a sampled run; None, a flag not given, is 100000 and 42."""
-    return args.samples or 100_000, 42 if args.seed is None else args.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
     )
     common.add_argument("--output", dest="output_path", default=None)
-    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
-    sampling.add_argument("--seed", type=int, default=None)
-    sampling.add_argument("--samples", type=count, default=None)
 
     parser = argparse.ArgumentParser(
         prog="meanslab",
@@ -59,17 +46,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
 
-    sub.add_parser("verify-all", parents=[sampling], help="sample-check every record")
+    p = sub.add_parser("verify-all", parents=[common], help="sample-check every record")
+    p.add_argument("--record", default=None, help="restrict to one record id")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("verify", parents=[sampling], help="check one record")
+    p = sub.add_parser("verify", parents=[common], help="check one record on one pair")
     p.add_argument("--record", required=True, help="record id, e.g. thm3.1")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
 
     p = sub.add_parser(
         "series-check", parents=[common], help="sign-check coefficient differences"
     )
-    p.add_argument("--depth", type=count, default=200)
+    p.add_argument("--depth", type=int, default=200)
 
     p = sub.add_parser("sharpness", parents=[common], help="probe sharp constants")
     p.add_argument("--record", default=None, help="restrict to one record id")
@@ -108,28 +98,19 @@ def _cmd_series_check(args):
 
 
 def _cmd_verify(args):
-    rec = record(args.record)
-    if (args.a is None) != (args.b is None):
-        raise ParameterError("verify needs both --a and --b, or neither")
-    if args.a is not None:
-        if (args.samples, args.seed) != (None, None):
-            raise ParameterError("verify on one pair reads no --samples or --seed")
-        margins = verify(rec, PositivePair(args.a, args.b))
-        return [reporting.pair_margins_row(margins, args.a, args.b)], margins.passed
-    report = verify_random(rec, *_sampling(args))
-    return [reporting.report_row(report)], report.passed
+    margins = verify(record(args.record), PositivePair(args.a, args.b))
+    return [reporting.pair_margins_row(margins, args.a, args.b)], margins.passed
 
 
 def _cmd_verify_all(args):
-    reports = verify_all(catalog(), *_sampling(args))
+    records = [record(args.record)] if args.record else catalog()
+    reports = verify_all(records, args.samples, args.seed)
     return [reporting.report_row(r) for r in reports], all(r.passed for r in reports)
 
 
 def _cmd_sharpness(args):
-    records = [record(args.record)] if args.record else catalog()
-    results = [r for rec in records if rec.probes for r in sharpness_probe(rec, args.epsilon)]
-    if not results:
-        raise ParameterError(f"record {args.record!r} declares no sharp constants")
+    records = [record(args.record)] if args.record else [r for r in catalog() if r.probes]
+    results = [r for rec in records for r in sharpness_probe(rec, args.epsilon)]
     # a probe without a witness shows no inequality false: inconclusive
     return [reporting.probe_row(r) for r in results], all(r.found for r in results) or None
 
@@ -154,7 +135,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         rows, verdict = _DISPATCH[args.command](args)
         reporting.emit(reporting.render(rows, args.output_format), args.output_path)
-    except (ParameterError, DomainError, NotApplicableError, ValueError, OSError) as exc:
+    except (NotApplicableError, ValueError, OSError) as exc:
         print(f"meanslab: {exc}", file=sys.stderr)
         return 2
     return _EXIT_CODES[verdict]

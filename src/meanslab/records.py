@@ -233,12 +233,18 @@ def _ky_fan(kernels, means, lo, up):
 
 
 def _product(kernels, means, lo, up):
-    # X*Z < Y^2 < (X^2 + Z^2)/2
+    # X*Z < Y^2 < (X^2 + Z^2)/2.  Y^2 and X*Z are below X^2 + Z^2, so they
+    # overflow only where that sum does, and (X^2 + Z^2)/2 is inf there:
+    # inf - inf leaves the margins unknown, 0 as for a quotient over 0.
     x, y, z = (means[k] for k in kernels)
     y2 = y * y
     low_ref = x * z
     up_ref = 0.5 * (x * x + z * z)
-    return MarginSample(y2 - low_ref, up_ref - y2, _noise_sum((y2, low_ref)), _noise_sum((y2, up_ref)))
+    lower, upper = y2 - low_ref, up_ref - y2
+    over = up_ref == math.inf
+    if np.count_nonzero(over):
+        lower, upper = np.where(over, 0.0, lower), np.where(over, 0.0, upper)
+    return MarginSample(lower, upper, _noise_sum((y2, low_ref)), _noise_sum((y2, up_ref)))
 
 
 def _window(kernels, means, p, q):
@@ -425,7 +431,7 @@ def verify(rec, pair: PositivePair) -> Margins:
     record verified on it in turn, so a loop over the catalog evaluates
     each mean once per pair.  ``product`` (degree 2) squares its means,
     which overflow from about 1e154 and underflow below about 1e-162; its
-    margins are indeterminate there.
+    margins are 0 there, so both sides are indeterminate.
     """
     rec = _resolve(rec)
     if pair.degenerate:

@@ -36,6 +36,8 @@ __all__ = [
 
 ROW_FIELDS = ("id", "kind", "inputs", "values", "margins", "pass")
 FORMATS = ("human", "json-lines", "csv")
+# the JSON of json-lines rows and csv cells: compact, UTF-8 as is
+_compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _row(row_id, kind, inputs, values, margins, passed):
@@ -110,8 +112,8 @@ def series_row(rep: DifferenceReport) -> dict:
     )
 
 
-def constant_row(c: SharpConstant, digits: int = 30) -> dict:
-    value = mp.nstr(c.value, digits)
+def constant_row(c: SharpConstant) -> dict:
+    value = mp.nstr(c.value, 30)
     values = {"expr": c.exact_expr, "value": value, "context": c.context}
     if c.definition:
         values["definition"] = c.definition
@@ -189,24 +191,13 @@ def render(rows: list[dict], output_format: str) -> str:
     if output_format == "human":
         return "".join(_human_line(r) + "\n" for r in rows)
     if output_format == "json-lines":
-        return "".join(
-            json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n" for r in rows
-        )
+        return "".join(_compact_json(r) + "\n" for r in rows)
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ROW_FIELDS)
         for r in rows:
-            writer.writerow(
-                [
-                    r["id"],
-                    r["kind"],
-                    json.dumps(r["inputs"], ensure_ascii=False, separators=(",", ":")),
-                    json.dumps(r["values"], ensure_ascii=False, separators=(",", ":")),
-                    json.dumps(r["margins"], ensure_ascii=False, separators=(",", ":")),
-                    json.dumps(r["pass"]),
-                ]
-            )
+            writer.writerow([r["id"], r["kind"], *(_compact_json(r[f]) for f in ROW_FIELDS[2:])])
         return buf.getvalue()
     raise ValueError(f"unknown output format {output_format!r}")
 

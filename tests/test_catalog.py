@@ -1,7 +1,10 @@
 """The inequality catalog: margins, random verification, scaling, sharpness."""
 
+import csv
 import dataclasses
 import importlib
+import io
+import json
 import math
 import pkgutil
 from collections import Counter, defaultdict
@@ -22,6 +25,7 @@ from meanslab import (
     constant,
     expr_value,
     record,
+    reporting,
     sharp_constants,
     sharpness_probe,
     verify,
@@ -574,6 +578,26 @@ def test_sharp_quotient_constants_are_the_limits_of_their_records():
     assert checked == 23
 
 
+def test_the_critical_exponent_is_the_far_end_root_of_its_record():
+    # lp0-l2 is L_p0 < M < L_2.  At the far end its probe names, t -> 1,
+    # L_p/M - 1 vanishes at the stored p0 and changes sign across it; near
+    # a = b it is (p - 2)t^2/6 + O(t^4), so there the bound is attained at 2
+    rec = record("lp0-l2")
+    assert [probe.endpoint for probe in rec.probes] == ["far"]
+
+    def gap(p, a, b):
+        return hp_oracles.glog(p, a, b) / hp_oracles.neuman(a, b) - 1
+
+    with mp.workdps(hp_oracles.DPS):
+        p0, tiny, shift = rec.lower.value, mp.mpf("1e-35"), mp.mpf("1e-30")
+        far = (mp.mpf(1), mp.mpf("1e-60"))
+        near = (1 + mp.mpf("1e-3"), 1 - mp.mpf("1e-3"))
+        assert abs(gap(p0, *far)) < tiny
+        assert gap(p0 - shift, *far) < -tiny and gap(p0 + shift, *far) > tiny
+        assert abs(gap(p0, *near)) > tiny
+        assert gap(mp.mpf("1.99"), *near) < 0 < gap(2, *near)
+
+
 def test_a_denominator_that_rounds_to_zero_gives_indeterminate_margins():
     # T - A rounds to 0 at a/b = 1 + 2^-30; no division by zero, no warning
     pair = PositivePair(1.0 + 2.0**-30, 1.0)
@@ -587,6 +611,23 @@ def test_a_denominator_that_rounds_to_zero_gives_indeterminate_margins():
     sample = record("amt").margins(a, np.ones(2))
     assert sample.lower[0] == sample.upper[0] == 0.0
     assert sample.lower[1] > 0.0 and sample.upper[1] > 0.0
+
+
+def test_squares_that_overflow_give_indeterminate_product_margins():
+    # A^2 + T^2 overflows from about 1e154, and inf - inf is no margin: both
+    # sides are 0 and indeterminate, and the machine rows stay strict JSON
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    for a in (1e200, 1.7e308):
+        row = reporting.pair_margins_row(verify("product", PositivePair(a, 1.0)), a, 1.0)
+        (line,) = reporting.render([row], "json-lines").splitlines()
+        parsed = json.loads(line, parse_constant=no_constant)
+        assert parsed["margins"] == {"lower": 0.0, "upper": 0.0}
+        assert parsed["values"] == {"lower_state": "indeterminate", "upper_state": "indeterminate"}
+        assert parsed["pass"] is True
+        (cells,) = csv.DictReader(io.StringIO(reporting.render([row], "csv")))
+        assert json.loads(cells["margins"], parse_constant=no_constant) == parsed["margins"]
 
 
 def test_linear_relations_between_quadratic_means():

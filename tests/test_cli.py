@@ -155,6 +155,19 @@ def test_verify_all_formats_carry_the_same_records(capsys):
     assert all(r["pass"] for r in jl_rows)
 
 
+@pytest.mark.parametrize("output_format", reporting.FORMATS)
+def test_verify_all_on_one_record_prints_that_record_s_row(capsys, output_format):
+    args = ("--samples", "300", "--seed", "5", "--format", output_format)
+    _, whole = run_cli(capsys, "verify-all", *args)
+    lines = whole.splitlines(keepends=True)
+    header = lines[:1] if output_format == "csv" else []
+    rows = lines[len(header):]
+    assert len(rows) == len(meanslab.catalog())
+    for rec, row in zip(meanslab.catalog(), rows):
+        _, one = run_cli(capsys, "verify-all", "--record", rec.id, *args)
+        assert one == "".join(header) + row, rec.id
+
+
 def test_machine_output_is_byte_identical_across_runs(capsys):
     args = ("verify-all", "--samples", "400", "--seed", "9", "--format", "json-lines")
     _, first = run_cli(capsys, *args)
@@ -174,7 +187,7 @@ def test_verify_all_bytes_are_pinned(tmp_path):
 def test_output_file_written_with_lf(tmp_path, capsys):
     target = tmp_path / "report.jsonl"
     code, out = run_cli(
-        capsys, "verify", "--record", "amt", "--samples", "100",
+        capsys, "verify-all", "--record", "amt", "--samples", "100",
         "--format", "json-lines", "--output", str(target),
     )
     assert code == 0
@@ -198,12 +211,12 @@ def test_unwritable_output_is_an_io_error_exit_2(tmp_path, capsys):
 
 
 def test_defaults_and_an_explicit_seed(capsys):
-    _, out = run_cli(capsys, "verify", "--record", "chain", "--format", "json-lines")
+    _, out = run_cli(capsys, "verify-all", "--record", "chain", "--format", "json-lines")
     inputs = json.loads(out)["inputs"]
     assert (inputs["seed"], inputs["samples"]) == (42, 100_000)
     _, out = run_cli(capsys, "series-check", "--format", "json-lines")
     assert {json.loads(line)["inputs"]["depth"] for line in out.splitlines()} == {200}
-    _, out = run_cli(capsys, "verify", "--record", "chain", "--samples", "50",
+    _, out = run_cli(capsys, "verify-all", "--record", "chain", "--samples", "50",
                      "--seed", "3", "--format", "json-lines")
     assert json.loads(out)["inputs"]["seed"] == 3
 
@@ -220,7 +233,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(["constants", "--depth", "3"]) == 2
     assert run(["sharpness", "--samples", "5"]) == 2
     assert run(["verify-all", "--format", "yaml"]) == 2
-    assert run(["verify", "--record", "no-such-record"]) == 2
+    assert run(["verify", "--record", "no-such-record", "--a", "3", "--b", "1"]) == 2
+    assert run(["verify-all", "--record", "no-such-record"]) == 2
+    assert run(["verify", "--record", "thm3.1"]) == 2
     assert run(["verify", "--record", "thm3.1", "--a", "3"]) == 2
     assert run(["verify", "--record", "thm3.1", "--a", "3", "--b", "1", "--samples", "5"]) == 2
     assert run(["verify", "--record", "thm3.1", "--a", "3", "--b", "1", "--seed", "42"]) == 2
@@ -235,7 +250,7 @@ def test_a_failing_verification_exits_1(capsys, monkeypatch):
     # a deliberately false statement: the chain A < G fails on every distinct pair
     bogus = build_record(RecordSpec("bogus-ag", "classical-ordering", "chain", "A G"))
     monkeypatch.setattr(cli, "record", lambda rid: bogus)
-    code, out = run_cli(capsys, "verify", "--record", "bogus-ag", "--samples", "200")
+    code, out = run_cli(capsys, "verify-all", "--record", "bogus-ag", "--samples", "200")
     assert code == 1
     assert out.startswith("FAIL")
 
