@@ -41,7 +41,7 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import MEANS, PositivePair, ch_difference, generalized_logarithmic
+from .means import _BLOCK, MEANS, PositivePair, ch_difference, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -64,11 +64,6 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _NOISE = 100.0 * _EPS * 16.0  # 100 ulp of a noise sum, which is in 2^-4 units
 _PROBE_STEPS = 64
-# Pairs per block of verify_all, small enough that a block's mean values and
-# temporaries stay in cache.  verify-all at 1e6 pairs on a 2-core Xeon took
-# 0.91 s at 2^14, 0.96 s at 2^13, 1.04 s at 2^15, 1.27 s at 2^12 and 1.25 s
-# at 2^16 (median of three rounds of three passes).
-_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -236,11 +231,13 @@ def _product(kernels, means, lo, up):
     # X*Z < Y^2 < (X^2 + Z^2)/2.  Y^2 and X*Z are below X^2 + Z^2, so they
     # overflow only where that sum does, and (X^2 + Z^2)/2 is inf there:
     # inf - inf leaves the margins unknown, 0 as for a quotient over 0.
+    # Arrays warn of that overflow and of inf - inf where floats do not.
     x, y, z = (means[k] for k in kernels)
-    y2 = y * y
-    low_ref = x * z
-    up_ref = 0.5 * (x * x + z * z)
-    lower, upper = y2 - low_ref, up_ref - y2
+    with np.errstate(over="ignore", invalid="ignore"):
+        y2 = y * y
+        low_ref = x * z
+        up_ref = 0.5 * (x * x + z * z)
+        lower, upper = y2 - low_ref, up_ref - y2
     over = up_ref == math.inf
     if np.count_nonzero(over):
         lower, upper = np.where(over, 0.0, lower), np.where(over, 0.0, upper)

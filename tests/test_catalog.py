@@ -613,6 +613,17 @@ def test_a_denominator_that_rounds_to_zero_gives_indeterminate_margins():
     assert sample.lower[1] > 0.0 and sample.upper[1] > 0.0
 
 
+def test_product_margins_of_arrays_that_overflow_are_indeterminate_without_a_warning():
+    # the squares of a mean near 1e200 overflow in an array as on one pair;
+    # the suite turns a RuntimeWarning on the way into an error
+    sample = record("product").margins(np.array([1e200, 3.0]), np.ones(2))
+    assert sample.lower[0] == sample.upper[0] == 0.0
+    for side in ("lower", "upper"):
+        fail, ok = _judge(getattr(sample, side), getattr(sample, side + "_scale"))
+        assert not fail[0] and not ok[0], side
+        assert ok[1], side
+
+
 def test_squares_that_overflow_give_indeterminate_product_margins():
     # A^2 + T^2 overflows from about 1e154, and inf - inf is no margin: both
     # sides are 0 and indeterminate, and the machine rows stay strict JSON

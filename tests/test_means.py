@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -28,7 +29,7 @@ from meanslab import (
     root_square,
     second_seiffert,
 )
-from meanslab.means import parse
+from meanslab.means import _BLOCK, parse
 
 KERNELS = [mean.kernel for mean in MEANS.values()]
 
@@ -446,6 +447,24 @@ KERNEL_SHA256 = {
 }
 
 
+# The kernels the pins cover, by the label of their row.
+PINNED = {
+    **{sym: MEANS[sym].kernel for sym in ("A", "G", "H", "Cbar", "C", "P", "T", "Q", "M")},
+    "CH": ch_difference,
+    "L-1": partial(generalized_logarithmic, -1.0),
+    "L0": partial(generalized_logarithmic, 0.0),
+    "L2": partial(generalized_logarithmic, 2.0),
+    "Lp0": partial(generalized_logarithmic, constant("lp0-l2.lower").float_value),
+}
+
+
+def _digest(kernel, inputs):
+    digest = hashlib.sha256()
+    for a, b in inputs:
+        digest.update(np.asarray(kernel(a, b), dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def band_inputs():
     rng = np.random.default_rng(11)
@@ -454,15 +473,157 @@ def band_inputs():
 
 @pytest.mark.parametrize("label", list(KERNEL_SHA256))
 def test_kernel_bits_are_pinned(label, band_inputs):
-    kernel = {
-        **{sym: MEANS[sym].kernel for sym in ("A", "G", "H", "Cbar", "C", "P", "T", "Q", "M")},
-        "CH": ch_difference,
-        "L-1": partial(generalized_logarithmic, -1.0),
-        "L0": partial(generalized_logarithmic, 0.0),
-        "L2": partial(generalized_logarithmic, 2.0),
-        "Lp0": partial(generalized_logarithmic, constant("lp0-l2.lower").float_value),
-    }[label]
-    digest = hashlib.sha256()
-    for a, b in band_inputs:
-        digest.update(np.asarray(kernel(a, b), dtype=np.float64).tobytes())
-    assert digest.hexdigest() == KERNEL_SHA256[label]
+    assert _digest(PINNED[label], band_inputs) == KERNEL_SHA256[label]
+
+
+# Two blocks and three pairs per band, so each array ends in a short block.
+LONG = 2 * 2**14 + 3
+
+# sha256 of each kernel's output on LONG pairs of the near, mid and far bands
+# in turn, computed by the whole-array kernels before they were blocked.
+LONG_KERNEL_SHA256 = {
+    "A": "2e96e8d2c32476b388e082185683a41d9caac1f61e4ef385cc62cd4ff73781c3",
+    "G": "328edc2c755488a3815b46f0ffe689b5ef2d7e115ebf1b174617562fba230f36",
+    "H": "9b0a8b0ef0cf2c78638257892c8ef11f79c47c822191838cbaed54c4946d02c3",
+    "Cbar": "6c72446c40bedd885d0168334129e79a21a490415708d93f4f0a1e0b26e15abb",
+    "C": "1ead61bc7d8c995d01f0623e09c2ed1509f536e3d69b2a0c1651992ce19597c1",
+    "P": "4ce08191cac1eab74c35acc172935ccd86f5b561767edad9810b34cde2956147",
+    "T": "2cc5cf1be2cbd757a2612b49e4d95e516c6d33f1ad48eb324a41dc9fecb82878",
+    "Q": "16321cad32d1acb9fa96852cec59328bc095497fd3acf7264dafe7abb37d9e0d",
+    "M": "6a7496a87336a94a7056be1174af58a3ead39763c6b6f5ca308b7b4272a0c190",
+    "CH": "04cd4c1eff42ac838b3a3be37ae2647f77fc4f5af1c1a731d0c63ceeed435757",
+    "L-1": "b7bf2376e57956ed84da9039461e9a35332f00d6bc36b64db278e2278c30708a",
+    "L0": "2e3151674f2ffe41f46db962e871a84810ea2c41ac46c49c2ba0f9977ee315e4",
+    "L2": "890ce26ad5099d0d06116ecb983781992eb5865361beb68fb4c08c83c7289e3d",
+    "Lp0": "05c98d1fce8410f098ce8dcf6585036792c04e9bfe948ab5d2592fbdeaa7f9c9",
+}
+
+
+@pytest.fixture(scope="module")
+def long_band_inputs():
+    rng = np.random.default_rng(23)
+    return [_band_pairs(rng, band, LONG) for band in ("near", "mid", "far")]
+
+
+@pytest.mark.parametrize("label", list(LONG_KERNEL_SHA256))
+def test_kernel_bits_past_one_block_are_pinned(label, long_band_inputs):
+    assert LONG > 2 * _BLOCK
+    assert _digest(PINNED[label], long_band_inputs) == LONG_KERNEL_SHA256[label]
+
+
+def _mixed_pairs(rng, n):
+    # n pairs of each kind every lane has a branch for, swapped at random and shuffled
+    x = 10.0 ** rng.uniform(-307.0, 308.0, n)
+    top = 2.0 ** rng.uniform(1022.0, 1023.99, n)
+    subnormal = rng.integers(1, 2**52, n) * 5e-324
+    small = 10.0 ** rng.uniform(-300.0, 8.0, n)
+    a = np.concatenate([top, subnormal, x, x, small * 1e300])
+    b = np.concatenate([
+        10.0 ** rng.uniform(-292.0, 308.0, n),  # against the top of the range: a/b up to 1e600
+        10.0 ** rng.uniform(-320.0, 300.0, n),
+        x,  # equal
+        np.nextafter(x, math.inf),  # one ulp apart
+        small,  # a/b = 1e300
+    ])
+    swap = rng.random(a.size) < 0.5
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    order = rng.permutation(a.size)
+    return a[order], b[order]
+
+
+# sha256 of each kernel's output on the 5·10,001 pairs of _mixed_pairs, not a
+# multiple of the block, computed by the whole-array kernels.
+MIXED_KERNEL_SHA256 = {
+    "A": "4cd492ea0ade0e961d25ea8d9a413cfd8e15f5da2003565151d9899b92e03907",
+    "G": "4ddf23c56260209106c7a478189a956a752f3065ed513f85174d71501d90774b",
+    "H": "8c9eb15cc54bac8e53b928c9562da4ddc86c6e219af00b8847e8e8d84d44397c",
+    "Cbar": "ea241e8e951a9360ef5816e9c37330123921db36c705bf93f3e2de1852f4b16d",
+    "C": "767736596cdced198b9b46809370893bb69bd5a130f00a12437ceb7e188b125d",
+    "P": "a3c10502504c6b983d9431be0a8fd7cf1d0c27e5b66c323c66620dacf5b52ac5",
+    "T": "816e1e947894b41e06996ce1a03450ff0704bd6389bcd221536bdbd804314b33",
+    "Q": "0ff9f4010ca66b0b00cf99bc1a494fa262930be0f09495be4f4536eb93c037fe",
+    "M": "f2e0a887132c33200b2c6d30839313885ec34ace8023def9345cc72dc52c2dc7",
+    "CH": "ae135483491cef9506edf021745357c694a49bc2532d28c147bdc6d800f43074",
+    "L-1": "f25f0797ee319f1e1808e5790ec51efb59b656c673ba376406ed7c8a838be31d",
+    "L0": "e9f160a38187df7264a4fdfb8a61f3531eb3f9b3b7f2aaa2183f6c405161d55d",
+    "L2": "01e1f78ef2eba18ce96bd15687aee1b05c407540958053a8cb2a532037c6f6fa",
+    "Lp0": "72ab8e8727ba1aaca7a4ee25e54da8332dd5daf745e2bc053cfa3ebaf138788e",
+}
+
+
+@pytest.fixture(scope="module")
+def mixed_inputs():
+    return _mixed_pairs(np.random.default_rng(31), 10_001)
+
+
+@pytest.mark.parametrize("label", list(MIXED_KERNEL_SHA256))
+def test_kernel_bits_on_mixed_pairs_are_pinned_in_1d_and_2d(label, mixed_inputs):
+    a, b = mixed_inputs
+    assert _digest(PINNED[label], [(a, b)]) == MIXED_KERNEL_SHA256[label]
+    out = PINNED[label](a.reshape(5, -1), b.reshape(5, -1))
+    assert out.shape == (5, 10_001)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == MIXED_KERNEL_SHA256[label]
+
+
+# ---------------------------------------------------------------- long arrays
+
+
+@pytest.fixture(scope="module")
+def million_pairs():
+    return _band_pairs(np.random.default_rng(5), "mid", 2**20)
+
+
+@pytest.mark.parametrize("label", list(PINNED))
+def test_a_call_on_long_arrays_allocates_little_beyond_its_output(label, million_pairs):
+    # blocked evaluation keeps each temporary one block long; whole-array
+    # evaluation had 4 to 9 output-sized temporaries alive at its peak
+    a, b = million_pairs
+    tracemalloc.start()
+    try:
+        out = PINNED[label](a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes, peak / out.nbytes
+
+
+def test_long_arrays_keep_the_shape_and_broadcast_contract():
+    assert neuman_sandor(np.ones((2, 3)), 2.0).shape == (2, 3)
+    assert arithmetic(np.array([1.0, 2.0]), 3.0).tolist() == [2.0, 2.5]
+    x = np.geomspace(1e-3, 1e3, LONG)
+    short = [slice(i, i + 1000) for i in range(0, LONG, 1000)]
+    # a scalar against a long array, either way round
+    want = np.concatenate([neuman_sandor(x[s], 2.0) for s in short])
+    assert neuman_sandor(x, 2.0).tolist() == want.tolist()
+    assert neuman_sandor(2.0, x).tolist() == want.tolist()
+    # 2-D in, 2-D out, and a row broadcast against a longer 2-D array
+    grid = x[: 4 * 8001].reshape(4, 8001)
+    out = generalized_logarithmic(2.0, grid, grid[::-1])
+    assert out.shape == (4, 8001)
+    assert out.tolist() == [generalized_logarithmic(2.0, r, q).tolist() for r, q in zip(grid, grid[::-1])]
+    row = arithmetic(grid, grid[0])
+    assert row.shape == (4, 8001)
+    assert row.tolist() == [arithmetic(r, grid[0]).tolist() for r in grid]
+
+
+def test_empty_and_scalar_inputs_keep_their_kinds():
+    for fn in PINNED.values():
+        assert fn(np.array([]), np.array([])).shape == (0,)
+        assert type(fn(3.0, 1.0)) is float
+        assert type(fn(np.float64(3.0), np.array(1.0))) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
+@pytest.mark.parametrize("label", list(PINNED))
+def test_a_bad_pair_in_the_last_block_is_a_domain_error(label, bad):
+    a, b = np.full(LONG, 2.0), np.full(LONG, 3.0)
+    b[-1] = bad
+    with pytest.raises(DomainError, match="^mean arguments must be positive finite reals$"):
+        PINNED[label](a, b)
+
+
+def test_a_non_finite_order_is_refused_before_a_long_pair_is_checked():
+    a, b = np.full(LONG, 2.0), np.full(LONG, 3.0)
+    b[-1] = math.nan
+    with pytest.raises(ParameterError):
+        generalized_logarithmic(math.inf, a, b)
