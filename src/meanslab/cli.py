@@ -45,28 +45,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", required=True, help="mean kind, e.g. arithmetic or L:2")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("verify-all", parents=[common], help="sample-check every record")
     p.add_argument("--record", default=None, help="restrict to one record id")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=100_000)
+    p.set_defaults(run=_cmd_verify_all)
 
     p = sub.add_parser("verify", parents=[common], help="check one record on one pair")
     p.add_argument("--record", required=True, help="record id, e.g. thm3.1")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser(
         "series-check", parents=[common], help="sign-check coefficient differences"
     )
     p.add_argument("--depth", type=int, default=200)
+    p.set_defaults(run=_cmd_series_check)
 
     p = sub.add_parser("sharpness", parents=[common], help="probe sharp constants")
     p.add_argument("--record", default=None, help="restrict to one record id")
     p.add_argument("--epsilon", type=float, default=1e-6)
+    p.set_defaults(run=_cmd_sharpness)
 
-    sub.add_parser("p0", parents=[common], help="solve for the critical exponent")
-    sub.add_parser("constants", parents=[common], help="list the sharp constants")
+    p = sub.add_parser("p0", parents=[common], help="solve for the critical exponent")
+    p.set_defaults(run=_cmd_p0)
+    p = sub.add_parser("constants", parents=[common], help="list the sharp constants")
+    p.set_defaults(run=_cmd_constants)
 
     return parser
 
@@ -115,17 +122,6 @@ def _cmd_sharpness(args):
     return [reporting.probe_row(r) for r in results], all(r.found for r in results) or None
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "verify-all": _cmd_verify_all,
-    "verify": _cmd_verify,
-    "series-check": _cmd_series_check,
-    "sharpness": _cmd_sharpness,
-    "p0": _cmd_p0,
-    "constants": _cmd_constants,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, execute, and return the process exit code."""
     try:
@@ -133,7 +129,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        rows, verdict = _DISPATCH[args.command](args)
+        rows, verdict = args.run(args)
         reporting.emit(reporting.render(rows, args.output_format), args.output_path)
     except (NotApplicableError, ValueError, OSError) as exc:
         print(f"meanslab: {exc}", file=sys.stderr)

@@ -45,6 +45,7 @@ __all__ = [
     "neuman_sandor",
     "generalized_logarithmic",
     "ch_difference",
+    "format_float",
     "parse",
 ]
 
@@ -116,7 +117,8 @@ def _elementwise(body):
             return _ret(body(*_canon(a, b), *params))
         a, b = np.broadcast_arrays(a, b)
         out = np.empty(a.shape)
-        flat, a, b = out.reshape(-1), a.ravel(), b.ravel()
+        # reshape, not ravel: a 1-D broadcast or reversed operand stays a view
+        flat, a, b = out.reshape(-1), a.reshape(-1), b.reshape(-1)
         for start in range(0, flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             flat[block] = body(*_canon(a[block], b[block]), *params)

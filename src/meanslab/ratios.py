@@ -32,7 +32,6 @@ from .means import PositivePair, _canon, _mean_gap, _ret
 from .series import SeriesId, series
 
 __all__ = [
-    "TAU_H",
     "THETA_STAR",
     "IdentityResiduals",
     "ScanVerdict",

@@ -28,7 +28,6 @@ __all__ = [
     "SeriesId",
     "LemmaSeries",
     "DifferenceReport",
-    "series",
     "difference_sign_check",
 ]
 

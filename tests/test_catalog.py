@@ -64,6 +64,35 @@ def test_every_submodule_imports_by_name_as_a_module():
     assert callable(meanslab.catalog)
 
 
+# every name the package exported while it kept its own list; none may be dropped
+EXPORTED_BEFORE = """
+    DegeneratePairError DifferenceReport DomainError IdentityResiduals InequalityRecord
+    LemmaSeries MEANS Margins NotApplicableError ParameterError PositivePair ProbeResult
+    ProbeSpec ScanVerdict SeriesId SharpConstant THETA_STAR VerificationReport __version__
+    arithmetic catalog centroidal ch_difference constant contraharmonic difference_sign_check
+    expr_value first_seiffert format_float generalized_logarithmic geometric h_eval harmonic
+    identity_residuals monotonicity_scan neuman_sandor record root_square second_seiffert
+    sharp_constants sharpness_probe solve_p0 substitution_theta verify verify_all verify_random
+""".split()
+
+
+def test_the_package_exports_exactly_its_modules_public_names():
+    star = {}
+    exec("from meanslab import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(meanslab.__all__)
+    owners = defaultdict(list)
+    for name in ("constants", "errors", "means", "ratios", "records", "series"):
+        module = importlib.import_module(f"meanslab.{name}")
+        for public in module.__all__:
+            owners[public].append(name)
+            assert getattr(meanslab, public) is getattr(module, public), (name, public)
+    # a name in two lists would be bound by whichever star import ran last
+    assert {k: v for k, v in owners.items() if len(v) > 1} == {}
+    assert sorted(meanslab.__all__) == sorted(["__version__", *owners])
+    assert set(EXPORTED_BEFORE) <= set(meanslab.__all__)
+
+
 def test_catalog_contents():
     recs = catalog()
     assert {r.id for r in recs} == EXPECTED_IDS

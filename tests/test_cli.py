@@ -175,13 +175,57 @@ def test_machine_output_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
+# (command, format) -> (exit code, sha256 of the output) of every
+# deterministic command; a change must name the bytes it moves
+COMMAND_SHA256 = {
+    ("constants", "human"): (0, "8ade50ce79ff62b1bf846cee87655b739330716b5fae11635088b537d55acfad"),
+    ("constants", "json-lines"): (0, "842e92d6ea6e47083005f489170deb8eef1a4e1773120b64b78c5af4f1d14057"),
+    ("constants", "csv"): (0, "42e7e66394cb2ea63fea0e9370f8774a055f2364f12d91b0013f3c1e8eb172bc"),
+    ("p0", "human"): (0, "43962fad6f8d67482a8088ed558c95cff44ea3f594c0b69594189122a337f9c8"),
+    ("p0", "json-lines"): (0, "e05ce1b32a3d9345eda6635530eef8874ded9fc9c67369314a03fe2ef9e34162"),
+    ("p0", "csv"): (0, "57108089205559379fd64dde8dfc604e715f2f8ce0e942f0fc7e1fbe5cc01438"),
+    ("series-check", "human"): (0, "c3343a949d1f4da58b520aa4fa693760031225810e898520ff9517bc71244354"),
+    ("series-check", "json-lines"): (0, "517d11f3a7d6e6c68c5f7a30d558747dd6c659c5badf9f6e400ca11ed07c727c"),
+    ("series-check", "csv"): (0, "19436a459214341cfec938e375c28091be3a96a01f6d6768916145f55025077a"),
+    ("sharpness", "human"): (0, "2c8b79b1f81cede27843ae12aa541ddebe3208af25eb800052c87485bf5722a2"),
+    ("sharpness", "json-lines"): (0, "4c859520a625c6702ab062cba87c1e8220797a147098d9db36baf271fa065d42"),
+    ("sharpness", "csv"): (0, "258af51c339059a7e8b8724ec44cc887d9520a7bca961b6ca24e52c2d9c82fef"),
+    ("sharpness --epsilon 1e-9", "human"): (3, "8c49129e74e0f611a7404e0543398838b9e84237b71335973f501e86abcccdd3"),
+    ("sharpness --epsilon 1e-9", "json-lines"): (3, "e075ef0c7adb95022e8b206ba287ae8d800efcaefdebe2c41094512dac77dc10"),
+    ("sharpness --epsilon 1e-9", "csv"): (3, "698baad16e8a6476b0be9725ff65949642918e7fc9d1041f5e9772b449377494"),
+    ("verify --record thm3.1 --a 3 --b 1", "human"): (0, "f3be99490ed2216dfe01f05cba0a594a23c3076c873d16aa2ad653bb6348dc6a"),
+    ("verify --record thm3.1 --a 3 --b 1", "json-lines"): (0, "43ac05fab48ce29c0f2e1fb982f43cfee379d6b9ba65f855bb1fbfd87b815251"),
+    ("verify --record thm3.1 --a 3 --b 1", "csv"): (0, "f8d277fbe11af1c903fef9be81286ae95cc41c431015f2f40b2697661792b378"),
+    ("verify --record product --a 1e200 --b 1", "human"): (0, "7e90ca79401603ed45c2e32f3c1d02794bc0c6a0b4dae20b94bcbc6c3061fcd9"),
+    ("verify --record product --a 1e200 --b 1", "json-lines"): (0, "53da08a648a244a91179e8b585e0d7a04bc67a6ff3b995cf3995347325ad7c82"),
+    ("verify --record product --a 1e200 --b 1", "csv"): (0, "aa56727ebbd1323eede918202c7fc644a79d492b8341d0492f9995ced2201693"),
+    ("verify --record chain --a 1.7e308 --b 5e-324", "human"): (0, "61fd0e0c4fdcf3a8728827f5dea8390412b73ff9da5cb739bd5c530c42663b23"),
+    ("verify --record chain --a 1.7e308 --b 5e-324", "json-lines"): (0, "a265867c1293633441deb432391c33deac21e3f032ec5ff0dd30c71426d8f450"),
+    ("verify --record chain --a 1.7e308 --b 5e-324", "csv"): (0, "dd29cc98f1624b3b7b12e0434c392b6b4c18437c27fe8d4e0652fc8989cfc483"),
+    ("eval --mean L:2 --a 1 --b 3", "human"): (0, "df41615e1a5996aa3a4b9611f916315748963a6c6c9c1b17955a85c09afd6d92"),
+    ("eval --mean L:2 --a 1 --b 3", "json-lines"): (0, "b5573d79e0bb33a4a4da43b6b22e1b5901bfaca57163b2b73bd922e2f21e2d44"),
+    ("eval --mean L:2 --a 1 --b 3", "csv"): (0, "5c40f5c89594715c0b63b3d1e930cea902011ebfae5bbb3d7438866a5a2e055d"),
+    ("verify-all --samples 100000 --seed 42", "human"): (0, "92ba9e1440d419cac11b2273b24389a52574c28375022adc1f04faef39c921e8"),
+    ("verify-all --samples 100000 --seed 42", "json-lines"): (0, "6905d177ab298522b3bb07925bbec8de7e17995fe187c7b90c2c07b48d34c693"),
+    ("verify-all --samples 100000 --seed 42", "csv"): (0, "8e27f9a3470694cc19021b8a213b4a24a5247a8a0e833a956a77c36e8f08f8db"),
+}
+VERIFY_ALL_JSON_LINES = ("verify-all --samples 100000 --seed 42", "json-lines")
+
+
+def _pinned_run(tmp_path, command, output_format):
+    target = tmp_path / "report"
+    code = run([*command.split(), "--format", output_format, "--output", str(target)])
+    return code, hashlib.sha256(target.read_bytes()).hexdigest()
+
+
 def test_verify_all_bytes_are_pinned(tmp_path):
     # a change to sampling, blocking or the margins must name the bytes it moves
-    target = tmp_path / "verify-all.jsonl"
-    argv = ["verify-all", "--samples", "100000", "--seed", "42", "--format", "json-lines"]
-    assert run(argv + ["--output", str(target)]) == 0
-    digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    assert digest == "6905d177ab298522b3bb07925bbec8de7e17995fe187c7b90c2c07b48d34c693"
+    assert _pinned_run(tmp_path, *VERIFY_ALL_JSON_LINES) == COMMAND_SHA256[VERIFY_ALL_JSON_LINES]
+
+
+@pytest.mark.parametrize("command,output_format", [k for k in COMMAND_SHA256 if k != VERIFY_ALL_JSON_LINES])
+def test_command_bytes_and_exit_codes_are_pinned(tmp_path, command, output_format):
+    assert _pinned_run(tmp_path, command, output_format) == COMMAND_SHA256[command, output_format]
 
 
 def test_output_file_written_with_lf(tmp_path, capsys):

@@ -573,18 +573,30 @@ def million_pairs():
     return _band_pairs(np.random.default_rng(5), "mid", 2**20)
 
 
+def _peak_over_output(kernel, a, b):
+    tracemalloc.start()
+    try:
+        out = kernel(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
 @pytest.mark.parametrize("label", list(PINNED))
 def test_a_call_on_long_arrays_allocates_little_beyond_its_output(label, million_pairs):
     # blocked evaluation keeps each temporary one block long; whole-array
     # evaluation had 4 to 9 output-sized temporaries alive at its peak
-    a, b = million_pairs
-    tracemalloc.start()
-    try:
-        out = PINNED[label](a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * out.nbytes, peak / out.nbytes
+    ratio = _peak_over_output(PINNED[label], *million_pairs)
+    assert ratio < 1.5, ratio
+
+
+@pytest.mark.parametrize("other", ["scalar", "reversed"])
+def test_a_broadcast_or_reversed_long_operand_is_not_copied(other, million_pairs):
+    # a stride-0 or reversed 1-D operand is walked as a view, never copied
+    x = million_pairs[0]
+    ratio = _peak_over_output(neuman_sandor, x, 2.0 if other == "scalar" else x[::-1])
+    assert ratio < 1.5, ratio
 
 
 def test_long_arrays_keep_the_shape_and_broadcast_contract():
