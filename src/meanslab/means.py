@@ -107,6 +107,8 @@ def _elementwise(body):
     which validates and orders the pair with ``_canon``.  Arrays longer than
     ``_BLOCK`` go through the body a block at a time, with the same bits:
     every step of a body, its whole-array tests too, acts element by element.
+    numpy's buffered iterator copies at most one block of an operand it cannot
+    walk in place, so the peak allocation stays near the output's for any layout.
     """
 
     @wraps(body)
@@ -115,14 +117,13 @@ def _elementwise(body):
         b = np.asarray(b, dtype=np.float64)
         if a.size <= _BLOCK and b.size <= _BLOCK:
             return _ret(body(*_canon(a, b), *params))
-        a, b = np.broadcast_arrays(a, b)
-        out = np.empty(a.shape)
-        # reshape, not ravel: a 1-D broadcast or reversed operand stays a view
-        flat, a, b = out.reshape(-1), a.reshape(-1), b.reshape(-1)
-        for start in range(0, flat.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            flat[block] = body(*_canon(a[block], b[block]), *params)
-        return out
+        flags = ["external_loop", "buffered", "zerosize_ok"]
+        op_flags = [["readonly"], ["readonly"], ["writeonly", "allocate"]]
+        # order="C": a transposed operand must not make the output F-ordered
+        with np.nditer([a, b, None], flags, op_flags, order="C", buffersize=_BLOCK) as it:
+            for x, y, out in it:
+                out[...] = body(*_canon(x, y), *params)
+            return it.operands[2]
 
     del kernel.__wrapped__  # callers pass (a, b) in either order, not the body's (hi, lo)
     return kernel

@@ -99,8 +99,6 @@ class ProbeSpec:
 class InequalityRecord:
     """One inequality with its margins and sharpness metadata.
 
-    ``kind`` separates the package's core sharp results from the previously
-    known bounds and classical orderings carried along for cross-checking.
     The form fixes the homogeneity degree, the sampler and the domain; see
     the properties below.  ``means_fn`` computes the margins from a lookup
     of mean values that records can share, and ``margin_fn`` on a pair: an
@@ -111,7 +109,6 @@ class InequalityRecord:
 
     id: str
     form: str
-    kind: str
     lower: SharpConstant | None
     upper: SharpConstant | None
     probes: tuple[ProbeSpec, ...] = ()
@@ -290,7 +287,6 @@ class RecordSpec(NamedTuple):
     """
 
     id: str
-    kind: str
     form: str
     means: str
     lower: tuple[float, str] | float | None = None
@@ -298,23 +294,23 @@ class RecordSpec(NamedTuple):
 
 
 SPECS = (
-    RecordSpec("neuman-QA", "prior-result", "difference-ratio", "M-A / Q-A", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("neuman-CA", "prior-result", "difference-ratio", "M-A / C-A", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("zhao-HQ", "prior-result", "difference-ratio", "M-Q / H-Q", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("zhao-GQ", "prior-result", "difference-ratio", "M-Q / G-Q", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("zhao-HC", "prior-result", "difference-ratio", "M-C / H-C", (-1.0, "far"), (+1.0, "near")),
-    RecordSpec("identric-IQ", "prior-result", "difference-ratio", "M-Q / I-Q", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("thm3.1", "core-result", "difference-ratio", "M-C / CH", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("thm3.2", "core-result", "difference-ratio", "M / CH", (+1.0, "far")),
-    RecordSpec("thm3.3", "core-result", "difference-ratio", "Cbar-M / Q-M", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("thm3.4", "core-result", "difference-ratio", "Q-M / C-M", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("cor3.1", "core-result", "difference-ratio", "C-M / CH", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("cor3.2", "core-result", "difference-ratio", "Cbar-M / CH", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("chain", "classical-ordering", "chain", "G L P A M T Q"),
-    RecordSpec("lp0-l2", "core-result", "exponent-window", "M", (+1.0, "far"), 2.0),
-    RecordSpec("amt", "classical-ordering", "difference-ratio", "M-A / T-A", 0.0, 1.0),
-    RecordSpec("product", "classical-ordering", "product-bound", "A M T"),
-    RecordSpec("kyfan", "classical-ordering", "ky-fan-chain", "G L P A M T"),
+    RecordSpec("neuman-QA", "difference-ratio", "M-A / Q-A", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("neuman-CA", "difference-ratio", "M-A / C-A", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("zhao-HQ", "difference-ratio", "M-Q / H-Q", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("zhao-GQ", "difference-ratio", "M-Q / G-Q", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("zhao-HC", "difference-ratio", "M-C / H-C", (-1.0, "far"), (+1.0, "near")),
+    RecordSpec("identric-IQ", "difference-ratio", "M-Q / I-Q", (-1.0, "near"), (+1.0, "far")),
+    RecordSpec("thm3.1", "difference-ratio", "M-C / CH", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("thm3.2", "difference-ratio", "M / CH", (+1.0, "far")),
+    RecordSpec("thm3.3", "difference-ratio", "Cbar-M / Q-M", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("thm3.4", "difference-ratio", "Q-M / C-M", (+1.0, "far"), (-1.0, "near")),
+    RecordSpec("cor3.1", "difference-ratio", "C-M / CH", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("cor3.2", "difference-ratio", "Cbar-M / CH", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("chain", "chain", "G L P A M T Q"),
+    RecordSpec("lp0-l2", "exponent-window", "M", (+1.0, "far"), 2.0),
+    RecordSpec("amt", "difference-ratio", "M-A / T-A", 0.0, 1.0),
+    RecordSpec("product", "product-bound", "A M T"),
+    RecordSpec("kyfan", "ky-fan-chain", "G L P A M T"),
 )
 
 
@@ -353,7 +349,6 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
     return InequalityRecord(
         id=spec.id,
         form=spec.form,
-        kind=spec.kind,
         lower=lo_const,
         upper=up_const,
         probes=tuple(p for p in (lo_probe, up_probe) if p is not None),
@@ -390,10 +385,18 @@ _SIDES = ("lower", "upper")
 def _judge(margins, scales):
     """Masks of the margins that certify a failure and of those that certify
     a pass; a margin within the noise threshold is in neither (scales are not
-    negative, so a failure is a negative margin).  Takes arrays, or floats for
-    one pair, where numpy scalars would add per-call cost."""
+    negative, so a failure is a negative margin).  Takes arrays, or one pair's
+    numpy scalars: converting those to floats first saved no measurable time."""
     threshold = _NOISE * scales
     return margins < -threshold, margins > threshold
+
+
+def _judged(sample: MarginSample):
+    """``(side, margin, failed, passed)`` for each side the sample claims."""
+    for side in _SIDES:
+        margin = getattr(sample, side)
+        if margin is not None:
+            yield (side, margin, *_judge(margin, getattr(sample, f"{side}_scale")))
 
 
 @dataclass(frozen=True)
@@ -434,14 +437,10 @@ def verify(rec, pair: PositivePair) -> Margins:
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
-    sample = rec.margins(pair.a, pair.b)
     sides = {}
-    for side in _SIDES:
-        m = getattr(sample, side)
-        if m is not None:
-            m = sides[side] = float(m)
-            fail, ok = _judge(m, float(getattr(sample, side + "_scale")))
-            sides[side + "_state"] = "fail" if fail else "ok" if ok else "indeterminate"
+    for side, m, fail, ok in _judged(rec.margins(pair.a, pair.b)):
+        sides[side] = float(m)
+        sides[f"{side}_state"] = "fail" if fail else "ok" if ok else "indeterminate"
     return Margins(rec.id, **sides)
 
 
@@ -481,13 +480,8 @@ class _Fold:
         self.failures = self.indeterminate = 0
 
     def add(self, means: _Means) -> None:
-        sample = self.rec.means_fn(means, None, None)
         decided = True
-        for side in _SIDES:
-            m = getattr(sample, side)
-            if m is None:
-                continue
-            fail, ok = _judge(m, getattr(sample, f"{side}_scale"))
+        for side, m, fail, ok in _judged(self.rec.means_fn(means, None, None)):
             i = int(m.argmin())
             if math.isnan(m[i]):  # argmin stops at the first NaN; rank NaN as +inf
                 i = int(np.where(np.isnan(m), np.inf, m).argmin())
@@ -530,16 +524,15 @@ def verify_all(records, count: int, seed: int) -> tuple[VerificationReport, ...]
     folds = [_Fold(_resolve(rec)) for rec in records]
     if count < 1:
         raise ParameterError("sample count must be >= 1")
-    for sampler in dict.fromkeys(fold.rec.sampler for fold in folds):
-        _fold_sample([f for f in folds if f.rec.sampler == sampler], int(count), seed)
+    for domain in dict.fromkeys(_FORMS[fold.rec.form].domain for fold in folds):
+        _fold_sample(domain, [f for f in folds if _FORMS[f.rec.form].domain == domain], int(count), seed)
     return tuple(fold.report(int(count), int(seed)) for fold in folds)
 
 
-def _fold_sample(folds, count: int, seed: int) -> None:
-    # One whole draw for the records of one sampler, from the domain they
-    # share (drawn block by block, the random stream would differ), walked
-    # in blocks whose mean values all of them read.
-    a, b = _sample_pairs(_FORMS[folds[0].rec.form].domain, np.random.default_rng(seed), count)
+def _fold_sample(domain, folds, count: int, seed: int) -> None:
+    # One whole draw for the records of one domain (drawn block by block, the
+    # random stream would differ), walked in blocks whose means all of them read.
+    a, b = _sample_pairs(domain, np.random.default_rng(seed), count)
     for start in range(0, count, _BLOCK):
         means = _Means(a[start : start + _BLOCK], b[start : start + _BLOCK])
         for fold in folds:
@@ -598,8 +591,7 @@ def sharpness_probe(rec, epsilon: float = 1e-6) -> tuple[ProbeResult, ...]:
         distinct = ratios > 1.0
         ratios, k = ratios[distinct], steps[distinct]
         sample = rec.margins(ratios, np.ones_like(ratios), **{f"{spec.side}_c": tightened})
-        m = getattr(sample, spec.side)
-        fail, _ = _judge(m, getattr(sample, f"{spec.side}_scale"))
+        m, fail = next((m, fail) for side, m, fail, _ in _judged(sample) if side == spec.side)
         hit = int(fail.argmax()) if fail.any() else None
         results.append(
             ProbeResult(

@@ -97,8 +97,6 @@ def test_catalog_contents():
     recs = catalog()
     assert {r.id for r in recs} == EXPECTED_IDS
     assert len(recs) == 17
-    for r in recs:
-        assert r.kind in ("core-result", "prior-result", "classical-ordering")
     with pytest.raises(ParameterError):
         record("thm9.9")
 
@@ -172,8 +170,8 @@ def test_verify_random_is_deterministic():
 
 
 # two made-up chains: A < G fails on every pair, and M < M never clears the noise
-FALSE_CHAIN = build_record(RecordSpec("false-ag", "classical-ordering", "chain", "A G"))
-NOISE_CHAIN = build_record(RecordSpec("noise-mm", "classical-ordering", "chain", "M M"))
+FALSE_CHAIN = build_record(RecordSpec("false-ag", "chain", "A G"))
+NOISE_CHAIN = build_record(RecordSpec("noise-mm", "chain", "M M"))
 
 
 def test_verify_random_single_sample_matches_verify():
@@ -240,7 +238,7 @@ def _made_up(rec_id, margin):
         m = margin(np.asarray(a), np.asarray(b))
         return MarginSample(m, None, np.ones_like(m), None)
 
-    return InequalityRecord(rec_id, "chain", "classical-ordering", None, None,
+    return InequalityRecord(rec_id, "chain", None, None,
                             margin_fn=margin_fn,
                             means_fn=lambda means, lo_c, up_c: margin_fn(means.a, means.b, lo_c, up_c))
 

@@ -292,7 +292,7 @@ def test_usage_errors_exit_2(capsys):
 
 def test_a_failing_verification_exits_1(capsys, monkeypatch):
     # a deliberately false statement: the chain A < G fails on every distinct pair
-    bogus = build_record(RecordSpec("bogus-ag", "classical-ordering", "chain", "A G"))
+    bogus = build_record(RecordSpec("bogus-ag", "chain", "A G"))
     monkeypatch.setattr(cli, "record", lambda rid: bogus)
     code, out = run_cli(capsys, "verify-all", "--record", "bogus-ag", "--samples", "200")
     assert code == 1

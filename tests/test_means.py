@@ -591,11 +591,18 @@ def test_a_call_on_long_arrays_allocates_little_beyond_its_output(label, million
     assert ratio < 1.5, ratio
 
 
-@pytest.mark.parametrize("other", ["scalar", "reversed"])
+@pytest.mark.parametrize("other", ["scalar", "reversed", "row", "transposed"])
 def test_a_broadcast_or_reversed_long_operand_is_not_copied(other, million_pairs):
-    # a stride-0 or reversed 1-D operand is walked as a view, never copied
+    # a stride-0, reversed, N-D row-broadcast or transposed operand is walked
+    # in place or a block at a time, never copied whole
     x = million_pairs[0]
-    ratio = _peak_over_output(neuman_sandor, x, 2.0 if other == "scalar" else x[::-1])
+    a, b = {
+        "scalar": (x, 2.0),
+        "reversed": (x, x[::-1]),
+        "row": (x.reshape(4, -1), x[: x.size // 4]),
+        "transposed": (x.reshape(4, -1).T, 2.0),
+    }[other]
+    ratio = _peak_over_output(neuman_sandor, a, b)
     assert ratio < 1.5, ratio
 
 
@@ -616,6 +623,10 @@ def test_long_arrays_keep_the_shape_and_broadcast_contract():
     row = arithmetic(grid, grid[0])
     assert row.shape == (4, 8001)
     assert row.tolist() == [arithmetic(r, grid[0]).tolist() for r in grid]
+    # a transposed operand still gives a C-ordered output
+    assert arithmetic(grid.T, 2.0).flags.c_contiguous
+    # a zero-size broadcast against a long operand keeps the broadcast shape
+    assert neuman_sandor(np.ones((0, 1)), x[None, :]).shape == (0, LONG)
 
 
 def test_empty_and_scalar_inputs_keep_their_kinds():
