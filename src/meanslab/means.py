@@ -8,11 +8,12 @@ recording that the pair is degenerate so downstream ratio checks can skip it.
 
 The mean functions accept plain floats or NumPy arrays that broadcast together
 and return the matching kind; scalar in, float out.  Arrays longer than
-``_BLOCK`` = 2^14 pairs are evaluated block by block into one output, with the
-same bits as one whole-array evaluation.  All of them normalise the operands
-to (hi, lo) order first, which makes symmetry exact at the bit level rather
-than merely up to rounding.  Most are A·φ(t) with A = (a + b)/2
-and t = |a - b|/(a + b); ``_mean_gap`` is the one place that forms A and t.
+``_BLOCK`` = 2^14 pairs are evaluated block by block into one output, on up to
+two threads, with the same bits as one whole-array evaluation.  All of them
+normalise the operands to (hi, lo) order first, which makes symmetry exact at
+the bit level rather than merely up to rounding.  Most are A·φ(t) with
+A = (a + b)/2 and t = |a - b|/(a + b); ``_mean_gap`` is the one place that
+forms A and t.
 
 ``MEANS`` is the one table of means: it maps each symbol the inequality
 catalog is written in to the label reports print, the names the command
@@ -21,7 +22,10 @@ line accepts, and the kernel.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial, wraps
 from typing import Callable, NamedTuple
@@ -89,7 +93,10 @@ def format_float(x: float) -> str:
 # Each kernel body takes the ordered pair (hi, lo) of floats or same-shape
 # arrays, and ``_elementwise`` makes it the public kernel.  Branchy formulas
 # use the masked-lane idiom: np.where picks the branch, and the unused lane is
-# fed a harmless argument first so it cannot raise or emit warnings.
+# fed a harmless argument first so it cannot raise or emit warnings.  The
+# lanes of an equal pair and of t = 0, which almost no input takes, are
+# computed only for a block that has such a pair; the bits are the same,
+# because np.where would have picked the same element values.
 
 # Pairs per block of a long array, small enough that a block's temporaries
 # stay in cache.  On a shared 2-core Xeon, the 14 kernels of the kernel-bands
@@ -102,6 +109,20 @@ def format_float(x: float) -> str:
 _BLOCK = 1 << 14
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that walk the blocks of one long array, the calling thread among
+# them.  Each holds one block's temporaries, so the tracemalloc peak over the
+# output grows with their number; for M / P / L_2 on 2^20 pairs it was
+# 1.10 / 1.11 / 1.13 with one, 1.16 / 1.21 / 1.26 with two, 1.19 / 1.31 / 1.47
+# with four and 1.21 / 1.26 / 1.52 with eight, past the 1.5 the tests allow.
+_SHARES = min(2, _usable_cpus())
+
+
 def _elementwise(body):
     """The public kernel ``(a, b, *params)`` of ``body(hi, lo, *params)``,
     which validates and orders the pair with ``_canon``.  Arrays longer than
@@ -109,6 +130,16 @@ def _elementwise(body):
     every step of a body, its whole-array tests too, acts element by element.
     numpy's buffered iterator copies at most one block of an operand it cannot
     walk in place, so the peak allocation stays near the output's for any layout.
+
+    Up to ``_SHARES`` threads walk the blocks: the calling thread and, where
+    the process may use two CPUs, one worker started for the call, which runs
+    in a copy of the caller's context (``np.errstate`` is a context variable)
+    and is joined before the call returns.  Each takes the next block from one
+    counter, so a thread on a busy CPU takes fewer; which thread evaluates a
+    block does not change its bits.  After an error or an interrupt, neither
+    takes another block, and the call raises what one thread would have: the
+    interrupt, else the error of the first bad block.  Two and not more,
+    because each thread holds one block's temporaries (see ``_SHARES``).
     """
 
     @wraps(body)
@@ -117,16 +148,67 @@ def _elementwise(body):
         b = np.asarray(b, dtype=np.float64)
         if a.size <= _BLOCK and b.size <= _BLOCK:
             return _ret(body(*_canon(a, b), *params))
-        flags = ["external_loop", "buffered", "zerosize_ok"]
-        op_flags = [["readonly"], ["readonly"], ["writeonly", "allocate"]]
-        # order="C": a transposed operand must not make the output F-ordered
-        with np.nditer([a, b, None], flags, op_flags, order="C", buffersize=_BLOCK) as it:
-            for x, y, out in it:
-                out[...] = body(*_canon(x, y), *params)
-            return it.operands[2]
+        return _in_blocks(body, a, b, params)
 
     del kernel.__wrapped__  # callers pass (a, b) in either order, not the body's (hi, lo)
     return kernel
+
+
+def _in_blocks(body, a, b, params):
+    # The long path of ``_elementwise``, apart so that the closures it needs
+    # add no cell variables to the scalar path.
+    flags = ["external_loop", "buffered", "zerosize_ok", "ranged"]
+    op_flags = [["readonly"], ["readonly"], ["writeonly", "allocate"]]
+    # order="C": a transposed operand must not make the output F-ordered
+    with np.nditer([a, b, None], flags, op_flags, order="C", buffersize=_BLOCK) as it:
+        n = it.itersize
+        starts = iter(range(0, n, _BLOCK))
+        errors = []
+
+        def stop(error, s):
+            # re-raised by the caller after the join; no share takes another block
+            errors.append((s, error))
+            for _ in starts:
+                pass
+
+        def walk(part):
+            s = 0
+            try:
+                for s in starts:
+                    part.iterrange = (s, min(s + _BLOCK, n))
+                    for x, y, out in part:
+                        out[...] = body(*_canon(x, y), *params)
+            except BaseException as error:
+                stop(error, s)
+
+        finished = threading.Event()
+
+        def walk_and_finish(part):
+            try:
+                walk(part)
+            finally:
+                finished.set()
+
+        worker = None
+        if _SHARES > 1 and n > _BLOCK:
+            worker = threading.Thread(
+                target=contextvars.copy_context().run, args=(walk_and_finish, it.copy())
+            )
+            worker.start()
+        walk(it)
+        while worker is not None:
+            try:
+                # not join() alone: on Python 3.11 an interrupted join()
+                # marks a thread that is still running as stopped
+                finished.wait()
+                worker.join()
+                worker = None
+            except BaseException as error:  # an interrupt: wait out the worker's block
+                stop(error, n)
+        if errors:
+            # an interrupt first, else the error of the first bad block, as on one thread
+            raise min(errors, key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
+        return it.operands[2]
 
 
 def _canon(a, b):
@@ -181,7 +263,7 @@ def arithmetic(hi, lo):
 def geometric(hi, lo):
     """sqrt(a*b), computed as sqrt(a)*sqrt(b) so large inputs cannot overflow."""
     # sqrt(x)*sqrt(x) can land one ulp off x; equal arguments must return exactly.
-    return np.where(hi == lo, hi, np.sqrt(hi) * np.sqrt(lo))
+    return _equal_as_hi(hi, lo, np.sqrt(hi) * np.sqrt(lo))
 
 
 @_elementwise
@@ -211,14 +293,23 @@ def root_square(hi, lo):
     """sqrt((a² + b²)/2)."""
     if _most(hi) > _TOP:  # as for A and t: hypot of the halved pair, doubled
         half = np.where(hi > _TOP, 0.5, 1.0)
-        return np.where(hi == lo, hi, np.hypot(half * hi, half * lo) / math.sqrt(2.0) / half)
-    return np.where(hi == lo, hi, np.hypot(hi, lo) / math.sqrt(2.0))
+        return _equal_as_hi(hi, lo, np.hypot(half * hi, half * lo) / math.sqrt(2.0) / half)
+    return _equal_as_hi(hi, lo, np.hypot(hi, lo) / math.sqrt(2.0))
+
+
+def _equal_as_hi(hi, lo, value):
+    # value, but hi itself at an equal pair
+    equal = hi == lo
+    return np.where(equal, hi, value) if equal.any() else value
 
 
 def _over_angle(mean, t, angle):
     # A·t/angle(t), and A at t = 0, where the masked lane is fed t = 1/2
-    ts = np.where(t == 0.0, 0.5, t)
-    return mean * np.where(t == 0.0, 1.0, ts / angle(ts))
+    zero = t == 0.0
+    if not zero.any():
+        return mean * (t / angle(t))
+    ts = np.where(zero, 0.5, t)
+    return mean * np.where(zero, 1.0, ts / angle(ts))
 
 
 @_elementwise
@@ -295,7 +386,9 @@ def _generalized_logarithmic(hi, lo, p):
         u = np.where(far, np.log(hi) - np.log(lo), np.log1p((hi - lo) / np.where(far, hi, lo)))
     else:
         u = np.log1p((hi - lo) / lo)
-    us = np.where(u == 0.0, 1.0, u)  # equal arguments: dropped by the last where()
+    equal = u == 0.0
+    some_equal = equal.any()
+    us = np.where(equal, 1.0, u) if some_equal else u  # equal pairs: dropped by the last where()
     anchor = hi
     if abs(p) < _P_IS_ZERO:
         expo = us * np.exp(-us) / -np.expm1(-us) - 1.0
@@ -308,8 +401,10 @@ def _generalized_logarithmic(hi, lo, p):
         expo = (f_q - _log_f(us)) / p
         if p < -1.0:
             anchor = np.power(hi, -1.0 / p) * np.power(lo, (p + 1.0) / p)
-            expo = np.where(u == 0.0, 0.0, expo)  # equal pairs: e^expo > 1 could overflow hi
-    return np.where(u == 0.0, hi, anchor * np.exp(expo))
+            if some_equal:  # equal pairs: e^expo > 1 could overflow hi
+                expo = np.where(equal, 0.0, expo)
+    value = anchor * np.exp(expo)
+    return np.where(equal, hi, value) if some_equal else value
 
 
 @_elementwise

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -207,9 +207,10 @@ def _quotient(kernels, means, lo, up):
 
 
 def _ordered(values):
-    # Each value below the next: the smallest consecutive gap is the margin.
-    gaps = np.diff(np.stack([np.asarray(v, dtype=np.float64) for v in values]), axis=0)
-    return MarginSample(gaps.min(axis=0), None, _noise_sum(values), None)
+    # Each value below the next: the smallest consecutive gap is the margin,
+    # folded left to right; np.minimum passes a NaN gap on as min() does.
+    gaps = (np.subtract(above, below) for below, above in zip(values, values[1:]))
+    return MarginSample(reduce(np.minimum, gaps), None, _noise_sum(values), None)
 
 
 def _chain(kernels, means, lo, up):

@@ -1,9 +1,15 @@
 """Mean evaluators: frozen values, algebraic properties, branch stability."""
 
+import contextvars
 import hashlib
 import math
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from meanslab import (
     root_square,
     second_seiffert,
 )
+from meanslab import means
 from meanslab.means import _BLOCK, parse
 
 KERNELS = [mean.kernel for mean in MEANS.values()]
@@ -606,6 +613,125 @@ def test_a_broadcast_or_reversed_long_operand_is_not_copied(other, million_pairs
     assert ratio < 1.5, ratio
 
 
+@pytest.mark.parametrize("shares", [1, 2])
+@pytest.mark.parametrize("label", list(MIXED_KERNEL_SHA256))
+def test_bits_do_not_depend_on_the_share_count(label, shares, mixed_inputs, monkeypatch):
+    # every lane, over several blocks, in 1-D and through a transposed view
+    monkeypatch.setattr(means, "_SHARES", shares)
+    a, b = mixed_inputs
+    assert a.size > 3 * _BLOCK
+    assert _digest(PINNED[label], [(a, b)]) == MIXED_KERNEL_SHA256[label]
+    out = PINNED[label](a.reshape(5, -1).T, b.reshape(5, -1).T)
+    assert out.shape == (10_001, 5)
+    assert hashlib.sha256(out.T.tobytes()).hexdigest() == MIXED_KERNEL_SHA256[label]
+
+
+@pytest.mark.parametrize("context", ["copied", "fresh"])
+def test_the_callers_errstate_reaches_the_worker(context, monkeypatch):
+    # np.errstate is a context variable: a thread outside the caller's
+    # context sees numpy's defaults, as the "fresh" case shows
+    monkeypatch.setattr(means, "_SHARES", 2)
+    if context == "fresh":
+        monkeypatch.setattr(means, "contextvars", SimpleNamespace(copy_context=contextvars.Context))
+    first_blocks = set()
+    both_started = threading.Barrier(2, timeout=10)
+
+    @means._elementwise
+    def over_raises(hi, lo):
+        if threading.get_ident() not in first_blocks:  # hold until each thread has a block
+            first_blocks.add(threading.get_ident())
+            both_started.wait()
+        return np.full(hi.shape, np.geterr()["over"] == "raise")
+
+    with np.errstate(over="raise"):
+        seen = over_raises(np.ones(LONG), 2.0)
+    assert len(first_blocks) == 2
+    assert seen.all() == (context == "copied")
+    assert seen.any()  # the calling thread's blocks
+
+
+def test_a_long_call_starts_one_worker_and_joins_it(monkeypatch):
+    monkeypatch.setattr(means, "_SHARES", 2)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(means.threading, "Thread", Counted)
+    threads = threading.active_count()
+    x = np.geomspace(1e-3, 1e3, LONG)
+    neuman_sandor(x[:_BLOCK], 2.0)
+    neuman_sandor(3.0, 2.0)
+    assert started == []  # short arrays and scalars stay on the calling thread
+    neuman_sandor(x, 2.0)
+    with pytest.raises(DomainError):
+        neuman_sandor(x, -x)
+    assert len(started) == 2
+    assert not any(worker.is_alive() for worker in started)
+    assert threading.active_count() == threads
+
+
+def test_each_block_is_evaluated_once_under_fast_thread_switching(monkeypatch):
+    monkeypatch.setattr(means, "_SHARES", 2)
+    taken = []
+
+    @means._elementwise
+    def mark(hi, lo):
+        taken.append(hi[0])
+        return hi
+
+    blocks = 64
+    a = np.repeat(np.arange(1.0, blocks + 1.0), _BLOCK)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken.clear()
+            assert mark(a, 0.5).tobytes() == a.tobytes()
+            assert sorted(taken) == list(range(1, blocks + 1))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# The kernels with a lane some blocks do not take: an equal pair or t = 0,
+# and a/b > 1e300 (L_p's log-space lane); P's two arcsin lanes, both computed
+# on every block, are split across blocks too.
+LANE_KERNELS = {
+    **{sym: MEANS[sym].kernel for sym in ("P", "T", "M", "G", "Q")},
+    **{f"L{p:g}": partial(generalized_logarithmic, p) for p in (-3.0, -1.0, 0.0, 2.0)},
+    "Lp0": PINNED["Lp0"],
+}
+
+
+@pytest.fixture(scope="module")
+def one_lane_blocks():
+    # one block each of: equal pairs only; 0 < t <= 1/2 only; t > 1/2 only,
+    # up to a/b = 1e305; then the three shuffled together
+    rng = np.random.default_rng(41)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, _BLOCK)
+    t = 10.0 ** rng.uniform(-8.0, math.log10(0.5), _BLOCK)
+    far = 10.0 ** rng.uniform(-3.0, 0.0, _BLOCK)
+    a = np.concatenate([x, x * (1.0 + t) / (1.0 - t), far * 10.0 ** rng.uniform(0.48, 305.0, _BLOCK)])
+    b = np.concatenate([x, x, far])
+    assert (a[_BLOCK:] != b[_BLOCK:]).all() and (a[2 * _BLOCK :] > 3.0 * far).all()
+    mixed = rng.permutation(a.size)[:_BLOCK]
+    return np.concatenate([a, a[mixed]]), np.concatenate([b, b[mixed]])
+
+
+@pytest.mark.parametrize("label", list(LANE_KERNELS))
+def test_a_block_that_takes_one_lane_keeps_the_bits(label, one_lane_blocks):
+    kernel = LANE_KERNELS[label]
+    a, b = one_lane_blocks
+    out = kernel(a, b)
+    # the same pairs shuffled, so that every block mixes the lanes
+    order = np.random.default_rng(43).permutation(a.size)
+    assert kernel(a[order], b[order]).tobytes() == out[order].tobytes()
+    for i in range(0, a.size, 97):
+        assert np.float64(kernel(float(a[i]), float(b[i]))).tobytes() == out[i].tobytes(), i
+
+
 def test_long_arrays_keep_the_shape_and_broadcast_contract():
     assert neuman_sandor(np.ones((2, 3)), 2.0).shape == (2, 3)
     assert arithmetic(np.array([1.0, 2.0]), 3.0).tolist() == [2.0, 2.5]
@@ -636,13 +762,81 @@ def test_empty_and_scalar_inputs_keep_their_kinds():
         assert type(fn(np.float64(3.0), np.array(1.0))) is float
 
 
+@pytest.mark.parametrize("where", [0, LONG // 2, LONG - 1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
 @pytest.mark.parametrize("label", list(PINNED))
-def test_a_bad_pair_in_the_last_block_is_a_domain_error(label, bad):
+def test_a_bad_pair_in_any_block_is_a_domain_error(label, bad, where):
     a, b = np.full(LONG, 2.0), np.full(LONG, 3.0)
-    b[-1] = bad
+    b[where] = bad
     with pytest.raises(DomainError, match="^mean arguments must be positive finite reals$"):
         PINNED[label](a, b)
+
+
+def test_after_a_bad_first_block_no_share_takes_many_more(monkeypatch):
+    monkeypatch.setattr(means, "_SHARES", 2)
+    calls = []
+    canon = means._canon
+
+    def counted(a, b):
+        calls.append(a.size)
+        return canon(a, b)
+
+    monkeypatch.setattr(means, "_canon", counted)
+    blocks = 64
+    a, b = np.full(blocks * _BLOCK, 2.0), np.full(blocks * _BLOCK, 3.0)
+    b[0] = math.nan
+    with pytest.raises(DomainError):
+        neuman_sandor(a, b)
+    assert len(calls) < blocks // 2, len(calls)
+
+
+def test_the_first_bad_block_decides_the_error(monkeypatch):
+    # block 1 raises first, while block 0 is still running on the other thread
+    monkeypatch.setattr(means, "_SHARES", 2)
+    second_raised = threading.Event()
+
+    @means._elementwise
+    def two_errors(hi, lo):
+        if hi[0] == 1.0:
+            assert second_raised.wait(10)
+            time.sleep(0.05)
+            raise ValueError("block 0")
+        if hi[0] == 2.0:
+            second_raised.set()
+            raise ZeroDivisionError("block 1")
+        return hi
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^block 0$"):
+        two_errors(np.repeat(np.arange(1.0, 5.0), _BLOCK), 0.5)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_an_interrupt_during_the_join_waits_for_the_worker(monkeypatch):
+    # two blocks, one per thread; Ctrl-C reaches the calling thread in join()
+    monkeypatch.setattr(means, "_SHARES", 2)
+    worker_in, caller_done, worker_done = threading.Event(), threading.Event(), threading.Event()
+
+    @means._elementwise
+    def slow_worker(hi, lo):
+        if threading.current_thread() is threading.main_thread():
+            assert worker_in.wait(10)
+            caller_done.set()
+        else:
+            worker_in.set()
+            assert caller_done.wait(10)
+            time.sleep(0.1)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.1)
+            worker_done.set()
+        return hi
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        slow_worker(np.ones(2 * _BLOCK), 0.5)
+    assert worker_done.is_set()
+    assert threading.active_count() == threads
 
 
 def test_a_non_finite_order_is_refused_before_a_long_pair_is_checked():
