@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (all checks passed), 1 when a verification
-produced a certified failure, 2 on usage, domain or I/O errors, and 3 when
-the result is inconclusive (a sharpness probe found no witness).
+produced a certified failure, 2 on usage, domain or I/O errors and when
+memory runs out, and 3 when the result is inconclusive (a sharpness probe
+found no witness).
 
 Every subcommand takes ``--format`` and ``--output``.  ``verify`` checks
 one record on one pair, and ``verify-all`` samples: only it takes ``--seed``
@@ -133,6 +134,9 @@ def run(argv: list[str] | None = None) -> int:
         reporting.emit(reporting.render(rows, args.output_format), args.output_path)
     except (NotApplicableError, ValueError, OSError) as exc:
         print(f"meanslab: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a resource error like OSError: no verdict, nothing written
+        print(f"meanslab: out of memory: {exc}" if str(exc) else "meanslab: out of memory", file=sys.stderr)
         return 2
     return _EXIT_CODES[verdict]
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import pkgutil
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from meanslab import (
 from meanslab.means import MEANS, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
 from meanslab.records import (
     _BLOCK,
+    _PAGE,
     SPECS,
     InequalityRecord,
     Margins,
@@ -254,8 +256,12 @@ MADE_UP = (
 )
 
 
-@pytest.mark.parametrize("seed", [42, 3])
-@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize(
+    "count,seed",
+    [(count, seed) for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3) for seed in (42, 3)]
+    # counts that straddle the pages of the draw
+    + [(count, 42) for count in (_PAGE - 1, _PAGE + 1, 2 * _PAGE + _BLOCK + 3)],
+)
 def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
     records = catalog() + MADE_UP
     fused = verify_all(records, count, seed)
@@ -267,6 +273,35 @@ def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
     assert by_id["false-ag"].failures == count
     assert by_id["noise-mm"].indeterminate == count
     assert math.isnan(by_id["all-nan"].min_lower_margin)
+
+
+def _peak_bytes(count):
+    tracemalloc.start()
+    try:
+        verify_all(catalog(), count, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_memory_of_a_sample_does_not_grow_with_its_count():
+    # the draw is made page by page: four times the pairs, the same peak
+    small, large = _peak_bytes(2**18), _peak_bytes(2**20)
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_a_sample_far_beyond_memory_starts_its_walk(monkeypatch):
+    # 10^12 pairs would be 16 TB drawn at once; the first block's fold runs
+    # before more than a page of them is drawn
+    class Sentinel(Exception):
+        pass
+
+    def stop(self, means):
+        raise Sentinel
+
+    monkeypatch.setattr(importlib.import_module("meanslab.records")._Fold, "add", stop)
+    with pytest.raises(Sentinel):
+        verify_all(catalog(), 10**12, 1)
 
 
 LOG_RATIO_MEANS = {"A", "G", "H", "Cbar", "C", "P", "T", "Q", "M", "I", "L", "CH"}

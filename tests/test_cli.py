@@ -254,6 +254,22 @@ def test_unwritable_output_is_an_io_error_exit_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
 
 
+def test_running_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # exit 1 is a certified counterexample only; a sample that does not fit is
+    # a resource error, as an unwritable output is
+    def no_room(records, count, seed):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setattr(cli, "verify_all", no_room)
+    target = tmp_path / "report.jsonl"
+    code = run(["verify-all", "--samples", "10000000000", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "meanslab: out of memory: Unable to allocate 74.5 GiB for an array with shape (10000000000,)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_defaults_and_an_explicit_seed(capsys):
     _, out = run_cli(capsys, "verify-all", "--record", "chain", "--format", "json-lines")
     inputs = json.loads(out)["inputs"]
