@@ -126,10 +126,36 @@ _SHARES = min(2, _usable_cpus())
 def _elementwise(body):
     """The public kernel ``(a, b, *params)`` of ``body(hi, lo, *params)``,
     which validates and orders the pair with ``_canon``.  Arrays longer than
-    ``_BLOCK`` go through the body a block at a time, with the same bits:
-    every step of a body, its whole-array tests too, acts element by element.
-    numpy's buffered iterator copies at most one block of an operand it cannot
-    walk in place, so the peak allocation stays near the output's for any layout.
+    ``_BLOCK`` go through the body a block at a time in ``_in_blocks``, with
+    the same bits: every step of a body, its whole-array tests too, acts
+    element by element.
+    """
+
+    @wraps(body)
+    def kernel(a, b, *params):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.size <= _BLOCK and b.size <= _BLOCK:
+            return _ret(body(*_canon(a, b), *params))
+        # a partial, not a closure: a closure would make params a cell
+        # variable, which slows every scalar call
+        return _in_blocks(partial(_ordered, body, params), a, b)
+
+    del kernel.__wrapped__  # callers pass (a, b) in either order, not the body's (hi, lo)
+    return kernel
+
+
+def _ordered(body, params, a, b):
+    return body(*_canon(a, b), *params)
+
+
+def _in_blocks(block, *operands):
+    """One C-ordered array of ``block(*pieces)`` over the operands broadcast
+    together, a ``_BLOCK``-long piece of each at a time: the long path of
+    every elementwise evaluator.  ``block`` must act element by element, so
+    that the blocks give the bits of one call over the whole array.  numpy's
+    buffered iterator copies at most one block of an operand it cannot walk
+    in place, so the peak allocation stays near the output's for any layout.
 
     Up to ``_SHARES`` threads walk the blocks: the calling thread and, where
     the process may use two CPUs, one worker started for the call, which runs
@@ -141,26 +167,10 @@ def _elementwise(body):
     interrupt, else the error of the first bad block.  Two and not more,
     because each thread holds one block's temporaries (see ``_SHARES``).
     """
-
-    @wraps(body)
-    def kernel(a, b, *params):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.size <= _BLOCK and b.size <= _BLOCK:
-            return _ret(body(*_canon(a, b), *params))
-        return _in_blocks(body, a, b, params)
-
-    del kernel.__wrapped__  # callers pass (a, b) in either order, not the body's (hi, lo)
-    return kernel
-
-
-def _in_blocks(body, a, b, params):
-    # The long path of ``_elementwise``, apart so that the closures it needs
-    # add no cell variables to the scalar path.
     flags = ["external_loop", "buffered", "zerosize_ok", "ranged"]
-    op_flags = [["readonly"], ["readonly"], ["writeonly", "allocate"]]
+    op_flags = [["readonly"]] * len(operands) + [["writeonly", "allocate"]]
     # order="C": a transposed operand must not make the output F-ordered
-    with np.nditer([a, b, None], flags, op_flags, order="C", buffersize=_BLOCK) as it:
+    with np.nditer([*operands, None], flags, op_flags, order="C", buffersize=_BLOCK) as it:
         n = it.itersize
         starts = iter(range(0, n, _BLOCK))
         errors = []
@@ -176,8 +186,8 @@ def _in_blocks(body, a, b, params):
             try:
                 for s in starts:
                     part.iterrange = (s, min(s + _BLOCK, n))
-                    for x, y, out in part:
-                        out[...] = body(*_canon(x, y), *params)
+                    for *pieces, out in part:
+                        out[...] = block(*pieces)
             except BaseException as error:
                 stop(error, s)
 
@@ -208,7 +218,7 @@ def _in_blocks(body, a, b, params):
         if errors:
             # an interrupt first, else the error of the first bad block, as on one thread
             raise min(errors, key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
-        return it.operands[2]
+        return it.operands[-1]
 
 
 def _canon(a, b):

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import hp_oracles
+import meanslab.means as means
 import meanslab.ratios as ratios
 from meanslab import (
     THETA_STAR,
@@ -148,6 +151,80 @@ def test_h_eval_lanes_alone_equal_the_mixed_array(which):
         assert h_eval(which, np.asarray(float(LANE_GRID[i]))) == out[i], LANE_GRID[i]
     assert type(h_eval(which, np.asarray(2.5))) is float
     assert h_eval(which, np.array([])).shape == (0,)
+
+
+# ---------------------------------------------------------------- long θ arrays
+
+LONG = 2 * means._BLOCK + 3
+
+
+@pytest.fixture(scope="module")
+def long_thetas():
+    # one block on the series lane only, from 0 to the neighbour below θ = 2;
+    # one on the closed form only, from 2 and its neighbour above to 300;
+    # then three θ, two of them in the other lane
+    rng = np.random.default_rng(53)
+    rest = means._BLOCK - 3
+    return np.concatenate([
+        [0.0, 1e-300, np.nextafter(2.0, 0.0)], rng.uniform(0.0, 2.0, rest),
+        [2.0, np.nextafter(2.0, 3.0), 300.0], rng.uniform(2.0, 300.0, rest),
+        [1.0, 1e-9, 250.0],
+    ])
+
+
+@pytest.mark.parametrize("shares", [1, 2])
+@pytest.mark.parametrize("which", ["h1", "h2", "h3"])
+def test_a_long_theta_array_keeps_the_bits_of_short_calls(which, shares, long_thetas, monkeypatch):
+    monkeypatch.setattr(means, "_SHARES", shares)
+    th = long_thetas
+    out = h_eval(which, th)
+    assert out.shape == (LONG,)
+    short = np.concatenate([h_eval(which, th[i : i + 1000]) for i in range(0, LONG, 1000)])
+    assert out.tobytes() == short.tobytes()
+    for i in range(0, LONG, 97):
+        assert np.float64(h_eval(which, float(th[i]))).tobytes() == out[i].tobytes(), th[i]
+    # shuffled, so that every block mixes the lanes
+    order = np.random.default_rng(59).permutation(LONG)
+    assert h_eval(which, th[order]).tobytes() == out[order].tobytes()
+    # 2-D, and through a transposed view, which still gives a C-ordered output
+    rows = np.stack([th, th[::-1]])
+    want = np.stack([out, out[::-1]])
+    assert h_eval(which, rows).tobytes() == want.tobytes()
+    cols = h_eval(which, rows.T)
+    assert cols.flags.c_contiguous
+    assert cols.tobytes() == want.T.copy().tobytes()
+    # the pinned grid, six times over in one call
+    tiled = h_eval(which, np.tile(LANE_GRID, 6)).reshape(6, -1)
+    assert tiled.size > 2 * means._BLOCK
+    for row in tiled:
+        assert hashlib.sha256(row.tobytes()).hexdigest() == H_EVAL_SHA256[which]
+
+
+@pytest.mark.parametrize("where", [0, LONG // 2, LONG - 1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 400.0])
+def test_a_bad_theta_in_any_block_is_a_domain_error(bad, where, monkeypatch):
+    monkeypatch.setattr(means, "_SHARES", 2)
+    th = np.linspace(0.0, 10.0, LONG)
+    th[where] = bad
+    threads = threading.active_count()
+    for which in ("h1", "h2", "h3"):
+        with pytest.raises(DomainError, match="^h functions are evaluated for 0 <= θ <= 300$"):
+            h_eval(which, th)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("top", [1.99, 10.0], ids=["series", "mixed"])
+def test_h_eval_on_long_arrays_allocates_little_beyond_its_output(top):
+    # whole-array evaluation peaked at 4.13x the output on the series lane
+    # and 8.13x across both lanes
+    th = np.linspace(0.0, top, 2**20)
+    tracemalloc.start()
+    try:
+        out = h_eval("h2", th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / out.nbytes < 1.5, peak / out.nbytes
 
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
