@@ -7,9 +7,12 @@ back the common value — the continuous extension — with ``PositivePair``
 recording that the pair is degenerate so downstream ratio checks can skip it.
 
 The mean functions accept plain floats or NumPy arrays that broadcast together
-and return the matching kind; scalar in, float out.  Arrays longer than
-``_BLOCK`` = 2^14 pairs are evaluated block by block into one output, on up to
-two threads, with the same bits as one whole-array evaluation.  All of them
+and return the matching kind; scalar in, float out.  Two Python floats take
+the float lane: the kernel's one body runs on them as they are, so its
+arithmetic is Python's and only its transcendental steps call numpy, with the
+bits of a one-element array.  Arrays longer than ``_BLOCK`` = 2^14 pairs are
+evaluated block by block into one output, on up to two threads, with the same
+bits as one whole-array evaluation.  All of them
 normalise the operands to (hi, lo) order first, which makes symmetry exact at
 the bit level rather than merely up to rounding.  Most are A·φ(t) with
 A = (a + b)/2 and t = |a - b|/(a + b); ``_mean_gap`` is the one place that
@@ -92,8 +95,8 @@ def format_float(x: float) -> str:
 #
 # Each kernel body takes the ordered pair (hi, lo) of floats or same-shape
 # arrays, and ``_elementwise`` makes it the public kernel.  Branchy formulas
-# use the masked-lane idiom: np.where picks the branch, and the unused lane is
-# fed a harmless argument first so it cannot raise or emit warnings.  The
+# use the masked-lane idiom: ``_where`` picks the branch, and the unused lane
+# is fed a harmless argument first so it cannot raise or emit warnings.  The
 # lanes of an equal pair and of t = 0, which almost no input takes, are
 # computed only for a block that has such a pair; the bits are the same,
 # because np.where would have picked the same element values.
@@ -129,10 +132,18 @@ def _elementwise(body):
     ``_BLOCK`` go through the body a block at a time in ``_in_blocks``, with
     the same bits: every step of a body, its whole-array tests too, acts
     element by element.
+
+    Two Python floats take the float lane: the body runs on them as they
+    are, skipping numpy's scalar machinery.  Python's + - * / on floats are
+    the IEEE operations numpy does, the transcendental steps are the same
+    ufuncs, and the body's tests read a bool as they read a mask, so the
+    lane keeps the bits of a one-element array.
     """
 
     @wraps(body)
     def kernel(a, b, *params):
+        if type(a) is float and type(b) is float:
+            return float(body(*_canon(a, b), *params))
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.size <= _BLOCK and b.size <= _BLOCK:
@@ -222,9 +233,11 @@ def _in_blocks(block, *operands):
 
 
 def _canon(a, b):
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    # lo <= hi, and a NaN reaches both: lo > 0 with hi finite covers lo too
+    if type(a) is float:  # one pair of Python floats
+        hi, lo = (a, b) if a >= b else (b, a)
+    else:
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+    # lo <= hi, so lo > 0 with hi finite covers both; a NaN, in hi or lo, fails its test
     if not (_least(lo) > 0.0 and _most(hi) < math.inf):
         raise DomainError("mean arguments must be positive finite reals")
     return hi, lo
@@ -234,13 +247,28 @@ def _ret(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+# The whole-block tests and the lane picks of the bodies.  One pair's bool,
+# float or numpy scalar is read directly, which is cheaper, and so is a 0-d
+# array's value.
+def _any(x):
+    return x.any() if type(x) is np.ndarray else x
+
+
+def _all(x):
+    return x.all() if type(x) is np.ndarray else x
+
+
+def _where(mask, x, y):
+    return np.where(mask, x, y) if type(mask) is np.ndarray else x if mask else y
+
+
 def _most(x):
-    # x.max() with no temporary array; read directly when 0-d (one pair), where it is cheaper
-    return x.max(initial=-math.inf) if x.ndim else x
+    # x.max() with no temporary array
+    return x.max(initial=-math.inf) if type(x) is np.ndarray and x.ndim else x
 
 
 def _least(x):
-    return x.min(initial=math.inf) if x.ndim else x
+    return x.min(initial=math.inf) if type(x) is np.ndarray and x.ndim else x
 
 
 # Past _TOP, hi + lo and hypot(hi, lo) can overflow; below _TINY a double is subnormal.
@@ -257,8 +285,8 @@ def _mean_gap(hi, lo, mean=True, gap=True):
     half = 0.5
     if _most(hi) > _TOP:
         top = hi > _TOP
-        hi, lo = np.where(top, 0.5 * hi, hi), np.where(top, 0.5 * lo, lo)
-        half = np.where(top, 1.0, half)
+        hi, lo = _where(top, 0.5 * hi, hi), _where(top, 0.5 * lo, lo)
+        half = _where(top, 1.0, half)
     s = hi + lo
     return half * s if mean else None, (hi - lo) / s if gap else None
 
@@ -281,7 +309,7 @@ def harmonic(hi, lo):
     """2ab/(a + b) as hi·(lo/A), or as lo·(hi/A) where lo/A is subnormal (a/b past 1e308)."""
     mean = _mean_gap(hi, lo, gap=False)[0]
     q = lo / mean
-    return np.where(q < _TINY, lo * (hi / mean), hi * q) if _least(q) < _TINY else hi * q
+    return _where(q < _TINY, lo * (hi / mean), hi * q) if _least(q) < _TINY else hi * q
 
 
 @_elementwise
@@ -302,7 +330,7 @@ def contraharmonic(hi, lo):
 def root_square(hi, lo):
     """sqrt((a² + b²)/2)."""
     if _most(hi) > _TOP:  # as for A and t: hypot of the halved pair, doubled
-        half = np.where(hi > _TOP, 0.5, 1.0)
+        half = _where(hi > _TOP, 0.5, 1.0)
         return _equal_as_hi(hi, lo, np.hypot(half * hi, half * lo) / math.sqrt(2.0) / half)
     return _equal_as_hi(hi, lo, np.hypot(hi, lo) / math.sqrt(2.0))
 
@@ -310,16 +338,16 @@ def root_square(hi, lo):
 def _equal_as_hi(hi, lo, value):
     # value, but hi itself at an equal pair
     equal = hi == lo
-    return np.where(equal, hi, value) if equal.any() else value
+    return _where(equal, hi, value) if _any(equal) else value
 
 
 def _over_angle(mean, t, angle):
     # A·t/angle(t), and A at t = 0, where the masked lane is fed t = 1/2
     zero = t == 0.0
-    if not zero.any():
+    if not _any(zero):
         return mean * (t / angle(t))
-    ts = np.where(zero, 0.5, t)
-    return mean * np.where(zero, 1.0, ts / angle(ts))
+    ts = _where(zero, 0.5, t)
+    return mean * _where(zero, 1.0, ts / angle(ts))
 
 
 @_elementwise
@@ -335,7 +363,7 @@ def first_seiffert(hi, lo):
     """
     mean, t = _mean_gap(hi, lo)
     flipped = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (lo / mean)))
-    return _over_angle(mean, t, lambda ts: np.where(ts <= 0.5, np.arcsin(ts), flipped))
+    return _over_angle(mean, t, lambda ts: _where(ts <= 0.5, np.arcsin(ts), flipped))
 
 
 @_elementwise
@@ -391,14 +419,14 @@ def generalized_logarithmic(p, a, b):
 @_elementwise
 def _generalized_logarithmic(hi, lo, p):
     far = hi * 1e-300 > lo
-    if far.any():
+    if _any(far):
         # hi/lo may not be representable there; the masked lanes divide by hi
-        u = np.where(far, np.log(hi) - np.log(lo), np.log1p((hi - lo) / np.where(far, hi, lo)))
+        u = _where(far, np.log(hi) - np.log(lo), np.log1p((hi - lo) / _where(far, hi, lo)))
     else:
         u = np.log1p((hi - lo) / lo)
     equal = u == 0.0
-    some_equal = equal.any()
-    us = np.where(equal, 1.0, u) if some_equal else u  # equal pairs: dropped by the last where()
+    some_equal = _any(equal)
+    us = _where(equal, 1.0, u) if some_equal else u  # equal pairs: dropped by the last where()
     anchor = hi
     if abs(p) < _P_IS_ZERO:
         expo = us * np.exp(-us) / -np.expm1(-us) - 1.0
@@ -412,9 +440,9 @@ def _generalized_logarithmic(hi, lo, p):
         if p < -1.0:
             anchor = np.power(hi, -1.0 / p) * np.power(lo, (p + 1.0) / p)
             if some_equal:  # equal pairs: e^expo > 1 could overflow hi
-                expo = np.where(equal, 0.0, expo)
+                expo = _where(equal, 0.0, expo)
     value = anchor * np.exp(expo)
-    return np.where(equal, hi, value) if some_equal else value
+    return _where(equal, hi, value) if some_equal else value
 
 
 @_elementwise

@@ -30,7 +30,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DegeneratePairError, DomainError, ParameterError
-from .means import _BLOCK, PositivePair, _canon, _in_blocks, _mean_gap, _ret
+from .means import _BLOCK, PositivePair, _all, _canon, _in_blocks, _mean_gap, _ret, _where
 from .series import SeriesId, series
 
 __all__ = [
@@ -112,6 +112,8 @@ def h_eval(which, theta):
     block raises the ``DomainError`` of the first such block.
     """
     sid = series(which).id
+    if type(theta) is float:  # one θ runs as a Python float, as one pair does in the kernels
+        return float(_h_block(sid, theta))
     th = np.asarray(theta, dtype=np.float64)
     if th.size <= _BLOCK:
         return _ret(_h_block(sid, th[()]))  # a 0-d θ runs as a numpy scalar
@@ -119,17 +121,17 @@ def h_eval(which, theta):
 
 
 def _h_block(sid: SeriesId, th):
-    # Every step acts element by element: small.all() only picks between two
+    # Every step acts element by element: _all(small) only picks between two
     # paths that give each element the same value, so blocks keep the bits.
     # The comparisons are False for NaN, so this also rejects non-finite θ.
-    if not ((th >= 0.0) & (th <= _THETA_MAX)).all():
+    if not _all((th >= 0.0) & (th <= _THETA_MAX)):
         raise DomainError(f"h functions are evaluated for 0 <= θ <= {_THETA_MAX:g}")
     small = th < _SERIES_CUT
-    everywhere = small.all()
-    x2 = th * th if everywhere else np.where(small, th * th, 0.0)
+    everywhere = _all(small)
+    x2 = th * th if everywhere else _where(small, th * th, 0.0)
     out = _series_lane(sid, x2)
     if not everywhere:
-        out = np.where(small, out, _closed_form(sid, np.where(small, _SERIES_CUT, th)))
+        out = _where(small, out, _closed_form(sid, _where(small, _SERIES_CUT, th)))
     return out
 
 

@@ -33,6 +33,7 @@ rather than as a pass or a failure, from 2^-1074 to 1.8e308 alike.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -42,7 +43,7 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import _BLOCK, MEANS, PositivePair, ch_difference, generalized_logarithmic
+from .means import _BLOCK, MEANS, PositivePair, _any, _where, ch_difference, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -132,8 +133,7 @@ class InequalityRecord:
     @property
     def domain_note(self) -> str | None:
         """The domain restriction of the inequality, if it has one."""
-        domain = _FORMS[self.form].domain
-        return None if domain is None else "requires {} < a, b < {}".format(*map(Fraction, domain))
+        return _domain_note(_FORMS[self.form].domain)
 
     def margins(self, a, b, *, lower_c: float | None = None, upper_c: float | None = None) -> MarginSample:
         """Margins on (a, b) with optional overrides for the constants.
@@ -145,13 +145,21 @@ class InequalityRecord:
         return self.margin_fn(a, b, lower_c, upper_c)
 
 
+@lru_cache(maxsize=None)
+def _domain_note(domain: tuple[float, float] | None) -> str | None:
+    # made once: a pair outside the domain raises it on every verify
+    return None if domain is None else "requires {} < a, b < {}".format(*map(Fraction, domain))
+
+
 # --------------------------------------------------------------------------
 # forms
 #
-# A form takes the record's kernels, in the order its spec lists the means,
-# a lookup of the mean values on a pair (or arrays of pairs) and the two
-# bounds in force (None where the record has no bound on that side), and
-# returns the signed margins.
+# A form takes the record's kernels, as its ``kernels`` entry made them from
+# the spec once, a lookup of the mean values on a pair (or arrays of pairs)
+# and the two bounds in force (None where the record has no bound on that
+# side), and returns the signed margins.  On one pair of floats the forms do
+# Python's float arithmetic and call no numpy; they read its comparisons as
+# bools, where an array's are masks.
 
 
 class _Means(dict):
@@ -181,39 +189,61 @@ def _noise_sum(terms):
     The start value counts each term as at least 2^-1022, which covers the
     absolute rounding noise of a subnormal mean and changes no sum whose
     first term is above about 1e-290."""
-    return sum((2.0**-4 * v for v in terms), len(terms) * 2.0**-1026)
+    total = len(terms) * 2.0**-1026
+    for v in terms:  # sum() of a generator takes twice as long on one pair's floats
+        total = total + 2.0**-4 * v
+    return total
+
+
+def _quotient_kernels(text: str) -> tuple:
+    # "Z-Y / X-W" as the kernels (Z, Y, X, W), with None for a Y or W left
+    # out, and the distinct means among them, the terms of R's noise sum.  R
+    # carries cancellation noise of order (Z + Y + X + W)/|X - W| ulp; CH is
+    # computed without cancellation, so it adds none.
+    num, den = ((*side.strip().split("-"), None)[:2] for side in text.split("/"))
+    kernels = tuple(map(_kernel, num + den))
+    return kernels, tuple(k for k in dict.fromkeys(kernels) if k not in (None, ch_difference))
 
 
 def _quotient(kernels, means, lo, up):
     # lo*(X - W) < Z - Y < up*(X - W) on R = (Z - Y)/(X - W), where an absent
-    # Y or W leaves Z or X as it is.  R carries cancellation noise of order
-    # (Z + Y + X + W)/|X - W| ulp; CH is computed without cancellation, so it
-    # adds none.
-    values = {k: means[k] for k in dict.fromkeys(kernels) if k is not None}
-    z, y, x, w = (values.get(k) for k in kernels)
-    num = z if y is None else z - y
-    den = x if w is None else x - w
-    positive = [v for k, v in values.items() if k is not ch_difference]  # means: no abs()
+    # Y or W leaves Z or X as it is
+    (z, y, x, w), noisy = kernels
+    num = means[z] if y is None else means[z] - means[y]
+    den = means[x] if w is None else means[x] - means[w]
     zero = den == 0.0
-    masked = np.count_nonzero(zero)  # X - W rounded to 0 leaves R unknown: margins 0
+    masked = _any(zero)  # X - W rounded to 0 leaves R unknown: margins 0
     if masked:
-        den = np.where(zero, 1.0, den)
-    ratio, sign = num / den, np.sign(den)
-    scale = _noise_sum(positive) / abs(den) + 2.0**-4
+        den = _where(zero, 1.0, den)
+    ratio, sign = num / den, _sign(den)
+    scale = _noise_sum([means[k] for k in noisy]) / abs(den) + 2.0**-4  # means: no abs()
+    lower = sign * (ratio - lo)
+    upper = None if up is None else sign * (up - ratio)
+    if masked:
+        lower = _where(zero, 0.0, lower)
+        upper = None if up is None else _where(zero, 0.0, upper)
+    return MarginSample(lower, upper, scale, None if up is None else scale)
 
-    def margin(m):
-        return np.where(zero, 0.0, sign * m) if masked else sign * m
 
-    if up is None:
-        return MarginSample(margin(ratio - lo), None, scale, None)
-    return MarginSample(margin(ratio - lo), margin(up - ratio), scale, scale)
+def _sign(x):
+    # np.sign(x); on one pair's float, x + 0.0 is its 0.0 or NaN
+    if type(x) is not float:
+        return np.sign(x)
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x + 0.0
+
+
+def _minimum(x, y):
+    # np.minimum(x, y), which passes a NaN on from either side
+    if type(x) is not float or type(y) is not float:
+        return np.minimum(x, y)
+    return x if x < y or x != x else y
 
 
 def _ordered(values):
     # Each value below the next: the smallest consecutive gap is the margin,
-    # folded left to right; np.minimum passes a NaN gap on as min() does.
-    gaps = (np.subtract(above, below) for below, above in zip(values, values[1:]))
-    return MarginSample(reduce(np.minimum, gaps), None, _noise_sum(values), None)
+    # folded left to right, a NaN gap passed on
+    gaps = (above - below for below, above in zip(values, values[1:]))
+    return MarginSample(reduce(_minimum, gaps), None, _noise_sum(values), None)
 
 
 def _chain(kernels, means, lo, up):
@@ -223,8 +253,7 @@ def _chain(kernels, means, lo, up):
 def _ky_fan(kernels, means, lo, up):
     # the chain of X/X' with X' = X(1-a, 1-b); the reflected pair is not the
     # lookup's pair, so its values are computed here and not kept
-    a2 = 1.0 - np.asarray(means.a, dtype=np.float64)
-    b2 = 1.0 - np.asarray(means.b, dtype=np.float64)
+    a2, b2 = 1.0 - means.a, 1.0 - means.b
     return _ordered([means[k] / k(a2, b2) for k in kernels])
 
 
@@ -234,14 +263,14 @@ def _product(kernels, means, lo, up):
     # inf - inf leaves the margins unknown, 0 as for a quotient over 0.
     # Arrays warn of that overflow and of inf - inf where floats do not.
     x, y, z = (means[k] for k in kernels)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with nullcontext() if type(y) is float else np.errstate(over="ignore", invalid="ignore"):
         y2 = y * y
         low_ref = x * z
         up_ref = 0.5 * (x * x + z * z)
         lower, upper = y2 - low_ref, up_ref - y2
     over = up_ref == math.inf
-    if np.count_nonzero(over):
-        lower, upper = np.where(over, 0.0, lower), np.where(over, 0.0, upper)
+    if _any(over):
+        lower, upper = _where(over, 0.0, lower), _where(over, 0.0, upper)
     return MarginSample(lower, upper, _noise_sum((y2, low_ref)), _noise_sum((y2, up_ref)))
 
 
@@ -253,21 +282,20 @@ def _window(kernels, means, p, q):
     return MarginSample(m - below, above - m, _noise_sum((m, below)), _noise_sum((m, above)))
 
 
-def _quotient_symbols(text: str) -> tuple:
-    # "Z-Y / X-W" as (Z, Y, X, W), with None for a Y or W left out
-    num, den = ((*side.strip().split("-"), None)[:2] for side in text.split("/"))
-    return num + den
+def _kernels(text: str) -> tuple:
+    # the kernels of space-separated symbols, in margin order
+    return tuple(map(_kernel, text.split()))
 
 
 class _Form(NamedTuple):
     margins: Callable  # (kernels, means, lower bound, upper bound) -> MarginSample
     degree: int | None = 1
     domain: tuple[float, float] | None = None  # the open interval both arguments lie in
-    symbols: Callable = str.split  # the spec's means text -> symbols, in margin order
+    kernels: Callable = _kernels  # the spec's means text -> the kernels its margins read
 
 
 _FORMS = {
-    "difference-ratio": _Form(_quotient, degree=0, symbols=_quotient_symbols),
+    "difference-ratio": _Form(_quotient, degree=0, kernels=_quotient_kernels),
     "chain": _Form(_chain),
     "product-bound": _Form(_product, degree=2),
     "exponent-window": _Form(_window),
@@ -336,8 +364,7 @@ def _kernel(symbol: str | None) -> Callable | None:
 def build_record(spec: RecordSpec) -> InequalityRecord:
     """Bind a spec's kernels, constants and probes into a record."""
     form = _FORMS[spec.form]
-    symbols = form.symbols(spec.means)
-    kernels = tuple(_kernel(s) for s in symbols)
+    kernels = form.kernels(spec.means)
     lo_const, lo_default, lo_probe = _side(spec, "lower")
     up_const, up_default, up_probe = _side(spec, "upper")
 
@@ -347,8 +374,9 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
         return form.margins(kernels, means, lo, up)
 
     def margin_fn(a, b, lo_c, up_c):
-        scalar = type(a) is float and type(b) is float
-        return means_fn(_pair_means(a, b) if scalar else _Means(a, b), lo_c, up_c)
+        if type(a) is float and type(b) is float:
+            return means_fn(_pair_means(a, b), lo_c, up_c)
+        return means_fn(_Means(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)), lo_c, up_c)
 
     return InequalityRecord(
         id=spec.id,
@@ -389,8 +417,8 @@ _SIDES = ("lower", "upper")
 def _judge(margins, scales):
     """Masks of the margins that certify a failure and of those that certify
     a pass; a margin within the noise threshold is in neither (scales are not
-    negative, so a failure is a negative margin).  Takes arrays, or one pair's
-    numpy scalars: converting those to floats first saved no measurable time."""
+    negative, so a failure is a negative margin).  Takes arrays, or one
+    pair's floats, for which the masks are two bools."""
     threshold = _NOISE * scales
     return margins < -threshold, margins > threshold
 
@@ -441,11 +469,18 @@ def verify(rec, pair: PositivePair) -> Margins:
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
     _check_domain(rec, pair.a, pair.b)
-    sides = {}
-    for side, m, fail, ok in _judged(rec.margins(pair.a, pair.b)):
-        sides[side] = float(m)
-        sides[f"{side}_state"] = "fail" if fail else "ok" if ok else "indeterminate"
-    return Margins(rec.id, **sides)
+    sample = rec.margin_fn(pair.a, pair.b, None, None)
+    lower, lower_state = _verdict(sample.lower, sample.lower_scale)
+    upper, upper_state = _verdict(sample.upper, sample.upper_scale)
+    return Margins(rec.id, lower, upper, lower_state, upper_state)
+
+
+def _verdict(margin, scale):
+    # (margin, state) of one side of one pair's sample; None where it makes no claim
+    if margin is None:
+        return None, None
+    fail, ok = _judge(margin, scale)
+    return float(margin), "fail" if fail else "ok" if ok else "indeterminate"
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,9 @@ from meanslab.records import (
     VerificationReport,
     _judge,
     _Means,
+    _minimum,
     _pair_means,
+    _sign,
     build_record,
 )
 
@@ -191,6 +193,52 @@ def test_verify_random_single_sample_matches_verify():
         assert rep.passed == m.passed
     assert verify(FALSE_CHAIN, PositivePair(3.0, 1.0)).lower_state == "fail"
     assert verify(NOISE_CHAIN, PositivePair(3.0, 1.0)).lower_state == "indeterminate"
+
+
+def _one_rule_pairs():
+    rng = np.random.default_rng(71)
+    ratio, b = 10.0 ** rng.uniform(0.0, 8.0, 150), 10.0 ** rng.uniform(-3.0, 3.0, 150)
+    ky_fan = rng.uniform(1e-6, 0.5 - 1e-6, (2, 60))
+    return (
+        [PositivePair(float(r * y), float(y)) for r, y in zip(ratio, b)]  # certify's distribution
+        + [PositivePair(1.0 + 2.0**-k, 1.0) for k in range(1, 53)]  # near-equal, down to one ulp
+        + [PositivePair(1e300 * y, y) for y in (1e-300, 1e-150, 1.0, 1e8)]
+        + [PositivePair(1.7e308, 1e308), PositivePair(1.79e308, 1.0), PositivePair(2.0**1023, 1.5 * 2.0**1022)]
+        + list(LOSSY_TOP_PAIRS)
+        + [PositivePair(float(x), float(y)) for x, y in ky_fan.T]
+    )
+
+
+def test_verify_judges_a_pair_by_the_rule_of_the_array_forms():
+    # one pair's floats and a one-element array take the same forms and the
+    # same _judge rule: equal margins, bit for bit, and equal states
+    pairs = _one_rule_pairs()
+    for rec in catalog():
+        checked = 0
+        for pair in pairs:
+            try:
+                m = verify(rec, pair)
+            except NotApplicableError:
+                assert rec.domain_note is not None
+                continue
+            sample = rec.margins(np.array([pair.a]), np.array([pair.b]))
+            for side in ("lower", "upper"):
+                margin, state, array = getattr(m, side), getattr(m, f"{side}_state"), getattr(sample, side)
+                if array is None:
+                    assert margin is None and state is None, (rec.id, side)
+                    continue
+                fail, ok = _judge(array, getattr(sample, f"{side}_scale"))
+                assert type(margin) is float, (rec.id, pair)
+                assert np.float64(margin).tobytes() == array[0].tobytes(), (rec.id, side, pair)
+                assert state == ("fail" if fail[0] else "ok" if ok[0] else "indeterminate"), (rec.id, side, pair)
+            checked += 1
+        assert checked >= 60, rec.id
+    # the float steps of the forms, on what no pair above reaches
+    values = (-2.0, -0.0, 0.0, 3.0, math.inf, math.nan)
+    for x in values:
+        assert np.float64(_sign(x)).tobytes() == np.sign(np.array([x]))[0].tobytes(), x
+        for y in values:
+            assert np.float64(_minimum(x, y)).tobytes() == np.minimum(np.array([x]), y)[0].tobytes(), (x, y)
 
 
 def test_verify_random_validation():

@@ -770,6 +770,44 @@ def test_empty_and_scalar_inputs_keep_their_kinds():
         assert type(fn(np.float64(3.0), np.array(1.0))) is float
 
 
+# Every kernel, and L_p at orders in each of its lanes and next to their edges.
+FLOAT_LANE = {
+    **{symbol: mean.kernel for symbol, mean in MEANS.items()},
+    "CH": ch_difference,
+    **{f"L{p!r}": partial(generalized_logarithmic, p)
+       for p in (-3.0, -1.5, -1.0, -0.02, 1e-200, 0.0, 0.3, 2.0, constant("lp0-l2.lower").float_value)},
+}
+
+
+@pytest.fixture(scope="module")
+def float_lane_pairs():
+    # top of the range, subnormal, equal, one ulp apart and a/b = 1e300, swapped
+    # at random, and pairs of TOP, where a + b overflows unless it is halved
+    a, b = _mixed_pairs(np.random.default_rng(67), 60)
+    return a.tolist() + TOP * len(TOP), b.tolist() + [y for y in TOP for _ in TOP]
+
+
+@pytest.mark.parametrize("label", list(FLOAT_LANE))
+def test_the_float_lane_keeps_the_bits_of_a_one_element_array(label, float_lane_pairs):
+    kernel = FLOAT_LANE[label]
+    a, b = float_lane_pairs
+    for x, y in zip(a + b, b + a):  # both argument orders
+        value = kernel(x, y)
+        assert type(value) is float, (x, y)
+        want = kernel(np.array([x]), np.array([y]))[0]
+        assert np.float64(value).tobytes() == want.tobytes(), (x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0])
+@pytest.mark.parametrize("label", list(FLOAT_LANE))
+def test_the_float_lane_refuses_what_the_array_lane_refuses(label, bad):
+    kernel = FLOAT_LANE[label]
+    for x, y in ((bad, 2.0), (2.0, bad)):
+        for args in ((x, y), (np.array([x]), np.array([y]))):
+            with pytest.raises(DomainError, match="^mean arguments must be positive finite reals$"):
+                kernel(*args)
+
+
 @pytest.mark.parametrize("where", [0, LONG // 2, LONG - 1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [math.nan, 0.0, math.inf])
 @pytest.mark.parametrize("label", list(PINNED))

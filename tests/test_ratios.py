@@ -139,8 +139,8 @@ H_EVAL_SHA256 = {
 
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
 def test_h_eval_lanes_alone_equal_the_mixed_array(which):
-    # an array wholly below θ = 2 skips the closed form; a scalar or 0-d θ
-    # runs on numpy scalars: neither may move a bit
+    # an array wholly below θ = 2 skips the closed form, a 0-d θ runs on
+    # numpy scalars and a Python float on Python floats: none may move a bit
     out = h_eval(which, LANE_GRID)
     assert hashlib.sha256(out.tobytes()).hexdigest() == H_EVAL_SHA256[which]
     small = LANE_GRID < 2.0
@@ -149,6 +149,8 @@ def test_h_eval_lanes_alone_equal_the_mixed_array(which):
     for i in list(range(6)) + list(range(6, LANE_GRID.size, 97)):
         assert h_eval(which, LANE_GRID[i]) == out[i], LANE_GRID[i]
         assert h_eval(which, np.asarray(float(LANE_GRID[i]))) == out[i], LANE_GRID[i]
+        value = h_eval(which, float(LANE_GRID[i]))
+        assert type(value) is float and np.float64(value).tobytes() == out[i].tobytes(), LANE_GRID[i]
     assert type(h_eval(which, np.asarray(2.5))) is float
     assert h_eval(which, np.array([])).shape == (0,)
 
