@@ -7,16 +7,16 @@ back the common value — the continuous extension — with ``PositivePair``
 recording that the pair is degenerate so downstream ratio checks can skip it.
 
 The mean functions accept plain floats or NumPy arrays that broadcast together
-and return the matching kind; scalar in, float out.  Two Python floats take
-the float lane: the kernel's one body runs on them as they are, so its
-arithmetic is Python's and only its transcendental steps call numpy, with the
-bits of a one-element array.  Arrays longer than ``_BLOCK`` = 2^14 pairs are
-evaluated block by block into one output, on up to two threads, with the same
-bits as one whole-array evaluation.  All of them
-normalise the operands to (hi, lo) order first, which makes symmetry exact at
-the bit level rather than merely up to rounding.  Most are A·φ(t) with
-A = (a + b)/2 and t = |a - b|/(a + b); ``_mean_gap`` is the one place that
-forms A and t.
+and return the matching kind; scalar in, float out.  Two Python floats, or
+ints as ``float()`` makes them, take the float lane: the kernel's one body
+runs on them as they are, so its arithmetic is Python's and only its
+transcendental steps call numpy, with the bits of a one-element array.
+Arrays longer than ``_BLOCK`` = 2^14 pairs are evaluated block by block into
+one output, on up to two threads, with the same bits as one whole-array
+evaluation.  All of them normalise the operands to (hi, lo) order first,
+which makes symmetry exact at the bit level rather than merely up to
+rounding.  Most are A·φ(t) with A = (a + b)/2 and t = |a - b|/(a + b);
+``_mean_gap`` is the one place that forms A and t.
 
 ``MEANS`` is the one table of means: it maps each symbol the inequality
 catalog is written in to the label reports print, the names the command
@@ -56,7 +56,7 @@ __all__ = [
     "parse",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositivePair:
     """Two positive finite reals, validated once at construction.
 
@@ -126,6 +126,10 @@ def _usable_cpus():
 _SHARES = min(2, _usable_cpus())
 
 
+# The types of one pair that the float lane takes; bool, an int subclass, is not one.
+_PY_REALS = (float, int)
+
+
 def _elementwise(body):
     """The public kernel ``(a, b, *params)`` of ``body(hi, lo, *params)``,
     which validates and orders the pair with ``_canon``.  Arrays longer than
@@ -137,13 +141,17 @@ def _elementwise(body):
     are, skipping numpy's scalar machinery.  Python's + - * / on floats are
     the IEEE operations numpy does, the transcendental steps are the same
     ufuncs, and the body's tests read a bool as they read a mask, so the
-    lane keeps the bits of a one-element array.
+    lane keeps the bits of a one-element array.  A Python int takes it as
+    ``float()`` makes it, which is how numpy converts it too; a bool does not.
     """
 
     @wraps(body)
     def kernel(a, b, *params):
         if type(a) is float and type(b) is float:
             return float(body(*_canon(a, b), *params))
+        # ints apart: folded into the test above, they cost floats 70-110 ns a call
+        if type(a) in _PY_REALS and type(b) in _PY_REALS:
+            return float(body(*_canon(float(a), float(b)), *params))
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.size <= _BLOCK and b.size <= _BLOCK:

@@ -16,6 +16,8 @@ catalog.  This module evaluates the ratios accurately over the whole range
 there on), checks the substitution identities numerically and scans
 monotonicity.  Long θ arrays go through the mean kernels' blocked walk:
 2^14 θ at a time, on up to two threads, with the same bits as one call.
+A scan walks its grid 2^12 θ at a time on the calling thread, with the bits
+of one whole-grid scan, and fails on a NaN step as on a wrong-signed one.
 """
 
 from __future__ import annotations
@@ -217,6 +219,20 @@ def identity_residuals(pair: PositivePair) -> IdentityResiduals:
     return IdentityResiduals(theta=theta, ratios=ratios, residuals=residuals)
 
 
+# θ per piece of a monotonicity scan.  On a shared 2-core Xeon: the three
+# scans at grid 10^5 (median of five, in each of two processes), how far they
+# lifted the process's max RSS, and the tracemalloc peak of one 10^6 scan:
+#   whole ranges, 2 threads   51-85 ms   4.7-6.6 MB   32.8 MiB
+#   2^10                     122-143 ms   0.4 MB        0.10 MiB
+#   2^11                      72-94 ms    0.4 MB        0.19 MiB
+#   2^12                      59-61 ms    0.4 MB        0.38 MiB
+#   2^13                      46-56 ms    0.4-0.5 MB    0.76 MiB
+#   2^14                      55-65 ms    1.7 MB        1.52 MiB
+# From 2^14 on the scan lifts max RSS again; below 2^12 the fixed cost of
+# each piece's calls dominates its time.
+_SCAN_PIECE = 1 << 12
+
+
 @dataclass(frozen=True)
 class ScanVerdict:
     """Result of a strict-monotonicity grid scan of one ratio function."""
@@ -233,9 +249,17 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
     """Scan h over [θ*/grid, θ*] and [θ*, 10] on uniform grids.
 
     Consecutive values must move strictly in the function's direction; the
-    verdict records the smallest correctly-signed step.  The second range
-    goes past θ* because the underlying monotonicity claim is for all
-    θ > 0, not just the part that pairs can reach.
+    verdict records the smallest correctly-signed step, NaN if a step is
+    NaN, and the left end of the first step, in grid order, that does not
+    move that way, a NaN step included.  The second range goes past θ*
+    because the underlying monotonicity claim is for all θ > 0, not just the
+    part that pairs can reach.
+
+    Each range is walked ``_SCAN_PIECE`` points at a time on the calling
+    thread, with the bits of ``np.linspace`` and ``np.diff`` over the whole
+    range: a piece's θ are its indices times the step plus the left end, the
+    step into a piece starts from the previous piece's last value, and the
+    gaps are folded in grid order.
     """
     if grid < 2:
         raise ParameterError("grid must be >= 2")
@@ -244,14 +268,26 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
     min_gap = math.inf
     first_violation = None
     for left, right in ((THETA_STAR / grid, THETA_STAR), (THETA_STAR, 10.0)):
-        thetas = np.linspace(left, right, grid)
-        values = h_eval(s.id, thetas)
-        gaps = np.diff(values)
-        gaps *= sign  # in place: one full-length array fewer, and ±1.0 keeps the bits
-        worst = int(np.argmin(gaps))
-        min_gap = min(min_gap, float(gaps[worst]))
-        if gaps[worst] <= 0.0 and first_violation is None:
-            first_violation = float(thetas[worst])
+        step = (right - left) / (grid - 1)  # np.linspace's step
+        last = h_eval(s.id, left)  # point 0: 0·step + left is left
+        for start in range(0, grid - 1, _SCAN_PIECE):
+            stop = min(start + _SCAN_PIECE, grid - 1)
+            # points start..stop, the left ends of steps start..stop - 1 and
+            # the right end of the last; point start is the previous piece's last
+            thetas = np.arange(start, stop + 1, dtype=np.float64)
+            thetas *= step
+            thetas += left
+            if stop == grid - 1:
+                thetas[-1] = right
+            values = h_eval(s.id, thetas[1:])  # at most 2^12 θ: one call, no thread
+            gaps = np.diff(values, prepend=last)
+            gaps *= sign  # ±1.0 keeps the bits
+            last = values[-1]
+            least = float(gaps.min())  # NaN if a gap is NaN
+            if math.isnan(least) or least < min_gap:
+                min_gap = least
+            if first_violation is None and not least > 0.0:
+                first_violation = float(thetas[np.argmin(gaps > 0.0)])  # the first False
     return ScanVerdict(
         series_id=s.id,
         direction=s.expected_monotonicity,
@@ -260,4 +296,3 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
         min_gap=min_gap,
         first_violation=first_violation,
     )
-

@@ -43,7 +43,7 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import _BLOCK, MEANS, PositivePair, _any, _where, ch_difference, generalized_logarithmic
+from .means import _BLOCK, _PY_REALS, MEANS, PositivePair, _any, _where, ch_difference, generalized_logarithmic
 
 __all__ = [
     "InequalityRecord",
@@ -374,8 +374,8 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
         return form.margins(kernels, means, lo, up)
 
     def margin_fn(a, b, lo_c, up_c):
-        if type(a) is float and type(b) is float:
-            return means_fn(_pair_means(a, b), lo_c, up_c)
+        if type(a) in _PY_REALS and type(b) in _PY_REALS:
+            return means_fn(_pair_means(float(a), float(b)), lo_c, up_c)
         return means_fn(_Means(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)), lo_c, up_c)
 
     return InequalityRecord(

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import pkgutil
-import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -323,18 +322,9 @@ def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
     assert math.isnan(by_id["all-nan"].min_lower_margin)
 
 
-def _peak_bytes(count):
-    tracemalloc.start()
-    try:
-        verify_all(catalog(), count, 1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_the_memory_of_a_sample_does_not_grow_with_its_count():
+def test_the_memory_of_a_sample_does_not_grow_with_its_count(traced_peak):
     # the draw is made page by page: four times the pairs, the same peak
-    small, large = _peak_bytes(2**18), _peak_bytes(2**20)
+    small, large = (traced_peak(verify_all, catalog(), count, 1)[1] for count in (2**18, 2**20))
     assert large <= 1.1 * small, (small, large)
 
 
@@ -557,6 +547,21 @@ def test_an_override_after_a_shared_lookup_is_applied():
     info = _pair_means.cache_info()
     rec.margins(np.array([pair.a]), np.array([pair.b]), lower_c=tightened)
     assert _pair_means.cache_info() == info
+
+
+def test_python_ints_take_the_one_pair_lookup():
+    # an int, with another int or a float, gives the margins of its float()
+    for rec in catalog():
+        if rec.sampler != "log-ratio":  # no int lies in (0, 1/2)
+            continue
+        for x, y in ((3, 1), (1, 3), (2, 7.5), (10**300, 1)):
+            want = rec.margins(float(x), float(y))
+            info = _pair_means.cache_info()
+            got = rec.margins(x, y)
+            lookups = _pair_means.cache_info()
+            assert lookups.hits + lookups.misses == info.hits + info.misses + 1, (rec.id, x, y)
+            assert repr(got) == repr(want), (rec.id, x, y)
+            assert type(got.lower) is float, (rec.id, x, y)
 
 
 def test_each_mean_is_computed_once_per_verified_pair(kernel_calls):

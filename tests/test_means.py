@@ -7,7 +7,6 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -580,26 +579,17 @@ def million_pairs():
     return _band_pairs(np.random.default_rng(5), "mid", 2**20)
 
 
-def _peak_over_output(kernel, a, b):
-    tracemalloc.start()
-    try:
-        out = kernel(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / out.nbytes
-
-
 @pytest.mark.parametrize("label", list(PINNED))
-def test_a_call_on_long_arrays_allocates_little_beyond_its_output(label, million_pairs):
+def test_a_call_on_long_arrays_allocates_little_beyond_its_output(label, million_pairs, traced_peak):
     # blocked evaluation keeps each temporary one block long; whole-array
     # evaluation had 4 to 9 output-sized temporaries alive at its peak
-    ratio = _peak_over_output(PINNED[label], *million_pairs)
+    out, peak = traced_peak(PINNED[label], *million_pairs)
+    ratio = peak / out.nbytes
     assert ratio < 1.5, ratio
 
 
 @pytest.mark.parametrize("other", ["scalar", "reversed", "row", "transposed"])
-def test_a_broadcast_or_reversed_long_operand_is_not_copied(other, million_pairs):
+def test_a_broadcast_or_reversed_long_operand_is_not_copied(other, million_pairs, traced_peak):
     # a stride-0, reversed, N-D row-broadcast or transposed operand is walked
     # in place or a block at a time, never copied whole
     x = million_pairs[0]
@@ -609,7 +599,8 @@ def test_a_broadcast_or_reversed_long_operand_is_not_copied(other, million_pairs
         "row": (x.reshape(4, -1), x[: x.size // 4]),
         "transposed": (x.reshape(4, -1).T, 2.0),
     }[other]
-    ratio = _peak_over_output(neuman_sandor, a, b)
+    out, peak = traced_peak(neuman_sandor, a, b)
+    ratio = peak / out.nbytes
     assert ratio < 1.5, ratio
 
 
@@ -806,6 +797,57 @@ def test_the_float_lane_refuses_what_the_array_lane_refuses(label, bad):
         for args in ((x, y), (np.array([x]), np.array([y]))):
             with pytest.raises(DomainError, match="^mean arguments must be positive finite reals$"):
                 kernel(*args)
+
+
+# Every kernel, and L_p in each of its lanes, on Python ints
+INT_LANE = {
+    **{symbol: mean.kernel for symbol, mean in MEANS.items()},
+    "CH": ch_difference,
+    **{f"L{p!r}": partial(generalized_logarithmic, p) for p in (-3.0, -1.0, 0.0, 2.0, P0)},
+}
+# small, equal, 1e300 apart, past 2^53 and 2^64, where float() rounds, at the
+# top of the range, and an int with a float
+INT_PAIRS = [(2, 5), (7, 7), (1, 10**300), (2**53 + 1, 3), (2**64 + 2**11 + 1, 2**60),
+             (10**308, 17 * 10**307), (3, 2.5), (1, 1e-300)]
+
+
+@pytest.mark.parametrize("label", list(INT_LANE))
+def test_python_ints_take_the_float_lane(label, monkeypatch):
+    kernel = INT_LANE[label]
+    pairs = INT_PAIRS + [(y, x) for x, y in INT_PAIRS]  # both argument orders
+    wants = [kernel(float(x), float(y)) for x, y in pairs]
+    canon = means._canon
+
+    def floats_only(a, b):  # the array lane would hand _canon arrays
+        assert type(a) is float and type(b) is float, (a, b)
+        return canon(a, b)
+
+    monkeypatch.setattr(means, "_canon", floats_only)
+    for (x, y), want in zip(pairs, wants):
+        value = kernel(x, y)
+        assert type(value) is float and value.hex() == want.hex(), (x, y)
+    for x, y in ((0, 2), (2, -3), (-1, 2.0)):
+        with pytest.raises(DomainError, match="^mean arguments must be positive finite reals$"):
+            kernel(x, y)
+
+
+@pytest.mark.parametrize("label", list(INT_LANE))
+def test_bools_and_huge_ints_keep_the_array_lane(label, monkeypatch):
+    kernel = INT_LANE[label]
+    canon = means._canon
+
+    def arrays_only(a, b):
+        assert type(a) is np.ndarray and type(b) is np.ndarray, (a, b)
+        return canon(a, b)
+
+    monkeypatch.setattr(means, "_canon", arrays_only)
+    for x, y in ((True, 3.0), (2, True), (True, True)):
+        value = kernel(x, y)
+        assert type(value) is float
+        assert value.hex() == float(kernel(np.array([float(x)]), np.array([float(y)]))[0]).hex()
+    for x, y in ((10**400, 2), (2.0, 2**1024)):
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            kernel(x, y)
 
 
 @pytest.mark.parametrize("where", [0, LONG // 2, LONG - 1], ids=["first", "middle", "last"])

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import threading
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -216,16 +215,11 @@ def test_a_bad_theta_in_any_block_is_a_domain_error(bad, where, monkeypatch):
 
 
 @pytest.mark.parametrize("top", [1.99, 10.0], ids=["series", "mixed"])
-def test_h_eval_on_long_arrays_allocates_little_beyond_its_output(top):
+def test_h_eval_on_long_arrays_allocates_little_beyond_its_output(top, traced_peak):
     # whole-array evaluation peaked at 4.13x the output on the series lane
     # and 8.13x across both lanes
     th = np.linspace(0.0, top, 2**20)
-    tracemalloc.start()
-    try:
-        out = h_eval("h2", th)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(h_eval, "h2", th)
     assert peak / out.nbytes < 1.5, peak / out.nbytes
 
 
@@ -350,6 +344,97 @@ def test_a_scan_records_its_first_violation(monkeypatch):
     assert not verdict.passed
     assert verdict.min_gap == 0.0
     assert verdict.first_violation == grid[grid > 1.0][0]
+
+
+def _whole_grid_scan(which, grid):
+    # the scan over whole arrays: np.linspace, h_eval and np.diff per range
+    s = ratios.series(which)
+    sign = -1.0 if s.expected_monotonicity == "decreasing" else 1.0
+    min_gap, first_violation = math.inf, None
+    for left, right in ((THETA_STAR / grid, THETA_STAR), (THETA_STAR, 10.0)):
+        thetas = np.linspace(left, right, grid)
+        gaps = np.diff(h_eval(which, thetas)) * sign
+        least = float(gaps.min())
+        if math.isnan(least) or least < min_gap:
+            min_gap = least
+        if first_violation is None and not least > 0.0:
+            first_violation = float(thetas[np.argmin(gaps > 0.0)])
+    return ratios.ScanVerdict(s.id, s.expected_monotonicity, grid, first_violation is None, min_gap, first_violation)
+
+
+SCAN_GRIDS = [2, 3, 4095, 4096, 4097, 3 * 4096 + 5, 2**14 + 1, 100_000]
+
+
+@pytest.mark.parametrize("grid", SCAN_GRIDS)
+@pytest.mark.parametrize("which", ["h1", "h2", "h3"])
+def test_a_scan_in_pieces_equals_the_whole_grid_scan(which, grid):
+    assert ratios._SCAN_PIECE == 4096
+    got, want = monotonicity_scan(which, grid), _whole_grid_scan(which, grid)
+    assert got.passed
+    for field in ("series_id", "direction", "grid", "passed", "min_gap", "first_violation"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), field  # repr: the float's bits
+
+
+def test_a_nan_step_fails_the_scan(monkeypatch):
+    # h2 with a NaN at grid point 5 and a flat step from point 50 in both
+    # ranges: argmin stopped at the NaN, so the flat step went unseen
+    grids = [np.linspace(left, right, 100) for left, right in ((THETA_STAR / 100, THETA_STAR), (THETA_STAR, 10.0))]
+    good = ratios.h_eval
+
+    def broken(which, t):
+        t = np.asarray(t)
+        v = good(which, t)
+        for g in grids:
+            v = np.where(t == g[5], math.nan, np.where(t == g[51], good(which, g[50]), v))
+        return v
+
+    monkeypatch.setattr(ratios, "h_eval", broken)
+    verdict = monotonicity_scan("h2", 100)
+    assert not verdict.passed
+    assert math.isnan(verdict.min_gap)
+    assert verdict.first_violation == grids[0][4]  # the step from point 4 to the NaN
+
+
+@pytest.mark.parametrize("grid,at", [(100, 25), (10_000, 2500), (10_000, 4096)])
+def test_a_scan_reports_its_first_bad_step_in_grid_order(grid, at, monkeypatch):
+    # a flat step before a falling one, in a later piece: the first is
+    # reported, not the worst; step 4096 starts from the first piece's last value
+    thetas = np.linspace(THETA_STAR / grid, THETA_STAR, grid)
+    flat, falling = thetas[at], thetas[grid - 10]
+    good = ratios.h_eval
+
+    def broken(which, t):
+        t = np.asarray(t)
+        v = good(which, t)
+        v = np.where(t == thetas[at + 1], good(which, flat), v)
+        return np.where(t == thetas[grid - 9], good(which, falling) - 1e-3, v)
+
+    monkeypatch.setattr(ratios, "h_eval", broken)
+    verdict = monotonicity_scan("h2", grid)
+    assert not verdict.passed
+    assert verdict.first_violation == flat
+    assert verdict.min_gap < -5e-4
+
+
+def test_a_long_scan_allocates_little(traced_peak):
+    # whole-range arrays peaked at 32.8 MiB for a grid of 10^6
+    verdict, peak = traced_peak(monotonicity_scan, "h2", 10**6)
+    assert verdict.passed
+    assert peak < 2**20, peak
+
+
+def test_a_scan_starts_no_thread(monkeypatch):
+    # h_eval splits more than 2^14 θ over two threads; a scan's pieces are one call each
+    monkeypatch.setattr(means, "_SHARES", 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan started a thread")
+
+    monkeypatch.setattr(means.threading, "Thread", refuse)
+    with pytest.raises(AssertionError, match="started a thread"):
+        h_eval("h2", np.linspace(0.0, 10.0, 2 * means._BLOCK))  # the patch bites
+    for which in ("h1", "h2", "h3"):
+        assert monotonicity_scan(which, 100_000).passed
 
 
 def test_theta_and_identities_at_the_top_of_the_range():
