@@ -12,11 +12,11 @@ ints as ``float()`` makes them, take the float lane: the kernel's one body
 runs on them as they are, so its arithmetic is Python's and only its
 transcendental steps call numpy, with the bits of a one-element array.
 Arrays longer than ``_BLOCK`` = 2^14 pairs are evaluated block by block into
-one output, on up to two threads, with the same bits as one whole-array
-evaluation.  All of them normalise the operands to (hi, lo) order first,
-which makes symmetry exact at the bit level rather than merely up to
-rounding.  Most are A·φ(t) with A = (a + b)/2 and t = |a - b|/(a + b);
-``_mean_gap`` is the one place that forms A and t.
+one output, with the same bits as one whole-array evaluation.  All of them
+normalise the operands to (hi, lo) order first, which makes symmetry exact
+at the bit level rather than merely up to rounding.  Most are A·φ(t) with
+A = (a + b)/2 and t = |a - b|/(a + b); ``_mean_gap`` is the one place that
+forms A and t.
 
 ``MEANS`` is the one table of means: it maps each symbol the inequality
 catalog is written in to the label reports print, the names the command
@@ -25,10 +25,7 @@ line accepts, and the kernel.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial, wraps
 from typing import Callable, NamedTuple
@@ -112,20 +109,6 @@ def format_float(x: float) -> str:
 _BLOCK = 1 << 14
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Threads that walk the blocks of one long array, the calling thread among
-# them.  Each holds one block's temporaries, so the tracemalloc peak over the
-# output grows with their number; for M / P / L_2 on 2^20 pairs it was
-# 1.10 / 1.11 / 1.13 with one, 1.16 / 1.21 / 1.26 with two, 1.19 / 1.31 / 1.47
-# with four and 1.21 / 1.26 / 1.52 with eight, past the 1.5 the tests allow.
-_SHARES = min(2, _usable_cpus())
-
-
 # The types of one pair that the float lane takes; bool, an int subclass, is not one.
 _PY_REALS = (float, int)
 
@@ -175,68 +158,15 @@ def _in_blocks(block, *operands):
     that the blocks give the bits of one call over the whole array.  numpy's
     buffered iterator copies at most one block of an operand it cannot walk
     in place, so the peak allocation stays near the output's for any layout.
-
-    Up to ``_SHARES`` threads walk the blocks: the calling thread and, where
-    the process may use two CPUs, one worker started for the call, which runs
-    in a copy of the caller's context (``np.errstate`` is a context variable)
-    and is joined before the call returns.  Each takes the next block from one
-    counter, so a thread on a busy CPU takes fewer; which thread evaluates a
-    block does not change its bits.  After an error or an interrupt, neither
-    takes another block, and the call raises what one thread would have: the
-    interrupt, else the error of the first bad block.  Two and not more,
-    because each thread holds one block's temporaries (see ``_SHARES``).
+    The blocks run in order on the calling thread, so the first bad block's
+    error is the call's and no later block is evaluated.
     """
-    flags = ["external_loop", "buffered", "zerosize_ok", "ranged"]
+    flags = ["external_loop", "buffered", "zerosize_ok"]
     op_flags = [["readonly"]] * len(operands) + [["writeonly", "allocate"]]
     # order="C": a transposed operand must not make the output F-ordered
     with np.nditer([*operands, None], flags, op_flags, order="C", buffersize=_BLOCK) as it:
-        n = it.itersize
-        starts = iter(range(0, n, _BLOCK))
-        errors = []
-
-        def stop(error, s):
-            # re-raised by the caller after the join; no share takes another block
-            errors.append((s, error))
-            for _ in starts:
-                pass
-
-        def walk(part):
-            s = 0
-            try:
-                for s in starts:
-                    part.iterrange = (s, min(s + _BLOCK, n))
-                    for *pieces, out in part:
-                        out[...] = block(*pieces)
-            except BaseException as error:
-                stop(error, s)
-
-        finished = threading.Event()
-
-        def walk_and_finish(part):
-            try:
-                walk(part)
-            finally:
-                finished.set()
-
-        worker = None
-        if _SHARES > 1 and n > _BLOCK:
-            worker = threading.Thread(
-                target=contextvars.copy_context().run, args=(walk_and_finish, it.copy())
-            )
-            worker.start()
-        walk(it)
-        while worker is not None:
-            try:
-                # not join() alone: on Python 3.11 an interrupted join()
-                # marks a thread that is still running as stopped
-                finished.wait()
-                worker.join()
-                worker = None
-            except BaseException as error:  # an interrupt: wait out the worker's block
-                stop(error, n)
-        if errors:
-            # an interrupt first, else the error of the first bad block, as on one thread
-            raise min(errors, key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
+        for *pieces, out in it:
+            out[...] = block(*pieces)
         return it.operands[-1]
 
 
@@ -370,8 +300,11 @@ def first_seiffert(hi, lo):
     cancel catastrophically at small t, so each half keeps its own lane.
     """
     mean, t = _mean_gap(hi, lo)
+    near = t <= 0.5  # also where _over_angle feeds t = 0 its 1/2
+    if _all(near):
+        return _over_angle(mean, t, np.arcsin)
     flipped = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (lo / mean)))
-    return _over_angle(mean, t, lambda ts: _where(ts <= 0.5, np.arcsin(ts), flipped))
+    return _over_angle(mean, t, lambda ts: _where(near, np.arcsin(ts), flipped))
 
 
 @_elementwise
@@ -398,6 +331,9 @@ def _log_f(x):
 # Orders this small give L_p = I in doubles.  The small-order lane cannot
 # take them: expm1(-|p|·u) goes subnormal once |p|·u < 2.2e-308.
 _P_IS_ZERO = 1e-100
+# Orders this large give L_p = hi for p > 0 and lo for p < 0 in doubles, as the
+# formula does up to |p| = 1.2e305, past which its |p + 1|·u can overflow.
+_P_IS_INFINITE = 1e300
 
 
 def generalized_logarithmic(p, a, b):
@@ -407,13 +343,15 @@ def generalized_logarithmic(p, a, b):
     In u = ln(hi/lo) the formula is exactly L_p = B·exp((f(|p+1|·u) - f(u))/p)
     with f from ``_log_f``, f(0) = 0, and the anchor B = hi for p >= -1,
     hi^(-1/p)·lo^((p+1)/p) for p < -1.  The exponent stays small, so nothing
-    overflows up to hi/lo = 1.8e308.  Three lanes evaluate it:
+    overflows up to hi/lo = 1.8e308.  Four lanes evaluate it:
 
     * ``|p| < 1e-100``  — I itself, ln(I/hi) = u·e^-u/(1 - e^-u) - 1: to first
       order ln(L_p/I) is p/2 times the variance of ln x for x uniform on
       [lo, hi], at most |p|·u²/8, below 1e-88 for every pair of doubles;
     * ``|p| < 1/2``     — where the f terms cancel: (p+1)·(L/hi)^p = 1 + y with
       y = sign(p)·e^(-u(1 + min(p, 0)))·expm1(-|p|u)/expm1(-u);
+    * ``|p| > 1e300``   — hi for p > 0 and lo for p < 0, the values the
+      formula takes in doubles there, where |p+1|·u may overflow;
     * otherwise         — the formula itself; p = -1 is its f(0) term.
 
     Equal arguments return the common value for every p.
@@ -426,6 +364,8 @@ def generalized_logarithmic(p, a, b):
 
 @_elementwise
 def _generalized_logarithmic(hi, lo, p):
+    if abs(p) > _P_IS_INFINITE:
+        return hi if p > 0.0 else lo
     far = hi * 1e-300 > lo
     if _any(far):
         # hi/lo may not be representable there; the masked lanes divide by hi

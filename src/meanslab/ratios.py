@@ -15,9 +15,9 @@ catalog.  This module evaluates the ratios accurately over the whole range
 (the quotient of their power series below θ = 2, the closed form from
 there on), checks the substitution identities numerically and scans
 monotonicity.  Long θ arrays go through the mean kernels' blocked walk:
-2^14 θ at a time, on up to two threads, with the same bits as one call.
-A scan walks its grid 2^12 θ at a time on the calling thread, with the bits
-of one whole-grid scan, and fails on a NaN step as on a wrong-signed one.
+2^14 θ at a time, with the same bits as one call.  A scan walks its grid
+2^12 θ at a time, with the bits of one whole-grid scan, and fails on a NaN
+step as on a wrong-signed one.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def h_eval(which, theta):
     is the quotient of the function's numerator and denominator power
     series (which also covers h(0) = limit_at_zero); from θ = 2 on it is
     the closed form.  An array longer than 2^14 θ is evaluated block by
-    block into one C-ordered output, on up to two threads, as the mean
-    kernels are, with the same bits as one call; a θ out of range in any
-    block raises the ``DomainError`` of the first such block.
+    block into one C-ordered output, as the mean kernels are, with the same
+    bits as one call; a θ out of range in any block raises the
+    ``DomainError`` of the first such block.
     """
     sid = series(which).id
     if type(theta) is float:  # one θ runs as a Python float, as one pair does in the kernels
@@ -255,11 +255,11 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
     because the underlying monotonicity claim is for all θ > 0, not just the
     part that pairs can reach.
 
-    Each range is walked ``_SCAN_PIECE`` points at a time on the calling
-    thread, with the bits of ``np.linspace`` and ``np.diff`` over the whole
-    range: a piece's θ are its indices times the step plus the left end, the
-    step into a piece starts from the previous piece's last value, and the
-    gaps are folded in grid order.
+    Each range is walked ``_SCAN_PIECE`` points at a time, with the bits of
+    ``np.linspace`` and ``np.diff`` over the whole range: a piece's θ are
+    its indices times the step plus the left end, the step into a piece
+    starts from the previous piece's last value, and the gaps are folded in
+    grid order.
     """
     if grid < 2:
         raise ParameterError("grid must be >= 2")
@@ -279,7 +279,7 @@ def monotonicity_scan(which, grid: int) -> ScanVerdict:
             thetas += left
             if stop == grid - 1:
                 thetas[-1] = right
-            values = h_eval(s.id, thetas[1:])  # at most 2^12 θ: one call, no thread
+            values = h_eval(s.id, thetas[1:])  # at most 2^12 θ: one block
             gaps = np.diff(values, prepend=last)
             gaps *= sign  # ±1.0 keeps the bits
             last = values[-1]

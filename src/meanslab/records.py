@@ -588,6 +588,8 @@ def verify_all(records, count: int, seed: int) -> tuple[VerificationReport, ...]
     folds = [_Fold(_resolve(rec)) for rec in records]
     if count < 1:
         raise ParameterError("sample count must be >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     for domain in dict.fromkeys(_FORMS[fold.rec.form].domain for fold in folds):
         _fold_sample(domain, [f for f in folds if _FORMS[f.rec.form].domain == domain], int(count), seed)
     return tuple(fold.report(int(count), int(seed)) for fold in folds)

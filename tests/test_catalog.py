@@ -245,6 +245,8 @@ def test_verify_random_validation():
         verify_random("thm3.1", 0, seed=1)
     with pytest.raises(ParameterError):
         verify_all(catalog(), 0, seed=1)
+    with pytest.raises(ParameterError, match="^seed must be >= 0$"):
+        verify_all(catalog(), 10, seed=-1)
 
 
 # -------------------------------------------------------- fused verification

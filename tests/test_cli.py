@@ -306,6 +306,13 @@ def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
 
 
+def test_a_negative_seed_is_a_usage_error_that_names_the_seed(capsys):
+    assert run(["verify-all", "--samples", "10", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "meanslab: seed must be >= 0\n"
+
+
 def test_a_failing_verification_exits_1(capsys, monkeypatch):
     # a deliberately false statement: the chain A < G fails on every distinct pair
     bogus = build_record(RecordSpec("bogus-ag", "chain", "A G"))

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -175,11 +177,14 @@ def long_thetas():
 
 @pytest.mark.parametrize("shares", [1, 2])
 @pytest.mark.parametrize("which", ["h1", "h2", "h3"])
-def test_a_long_theta_array_keeps_the_bits_of_short_calls(which, shares, long_thetas, monkeypatch):
-    monkeypatch.setattr(means, "_SHARES", shares)
+def test_a_long_theta_array_keeps_the_bits_of_short_calls(which, shares, long_thetas):
     th = long_thetas
     out = h_eval(which, th)
     assert out.shape == (LONG,)
+    # a caller that wants more CPUs splits θ into shares on its own threads
+    with ThreadPoolExecutor(shares) as pool:
+        split = np.concatenate(list(pool.map(partial(h_eval, which), np.array_split(th, shares))))
+    assert split.tobytes() == out.tobytes()
     short = np.concatenate([h_eval(which, th[i : i + 1000]) for i in range(0, LONG, 1000)])
     assert out.tobytes() == short.tobytes()
     for i in range(0, LONG, 97):
@@ -203,15 +208,12 @@ def test_a_long_theta_array_keeps_the_bits_of_short_calls(which, shares, long_th
 
 @pytest.mark.parametrize("where", [0, LONG // 2, LONG - 1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [math.nan, -0.5, 400.0])
-def test_a_bad_theta_in_any_block_is_a_domain_error(bad, where, monkeypatch):
-    monkeypatch.setattr(means, "_SHARES", 2)
+def test_a_bad_theta_in_any_block_is_a_domain_error(bad, where):
     th = np.linspace(0.0, 10.0, LONG)
     th[where] = bad
-    threads = threading.active_count()
     for which in ("h1", "h2", "h3"):
         with pytest.raises(DomainError, match="^h functions are evaluated for 0 <= θ <= 300$"):
             h_eval(which, th)
-    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("top", [1.99, 10.0], ids=["series", "mixed"])
@@ -424,15 +426,13 @@ def test_a_long_scan_allocates_little(traced_peak):
 
 
 def test_a_scan_starts_no_thread(monkeypatch):
-    # h_eval splits more than 2^14 θ over two threads; a scan's pieces are one call each
-    monkeypatch.setattr(means, "_SHARES", 2)
-
-    def refuse(*args, **kwargs):
+    # a scan's pieces are each one call on the calling thread
+    def refuse(self):
         raise AssertionError("a scan started a thread")
 
-    monkeypatch.setattr(means.threading, "Thread", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     with pytest.raises(AssertionError, match="started a thread"):
-        h_eval("h2", np.linspace(0.0, 10.0, 2 * means._BLOCK))  # the patch bites
+        threading.Thread(target=print).start()  # the patch bites
     for which in ("h1", "h2", "h3"):
         assert monotonicity_scan(which, 100_000).passed
 
