@@ -15,8 +15,14 @@ Arrays longer than ``_BLOCK`` = 2^14 pairs are evaluated block by block into
 one output, with the same bits as one whole-array evaluation.  All of them
 normalise the operands to (hi, lo) order first, which makes symmetry exact
 at the bit level rather than merely up to rounding.  Most are A·φ(t) with
-A = (a + b)/2 and t = |a - b|/(a + b); ``_mean_gap`` is the one place that
-forms A and t.
+A = (a + b)/2 and t = |a - b|/(a + b).
+
+A kernel body reads its pairs from one ``_Pair``: the ordered, validated
+(hi, lo) and the gap table formed from them, each entry once, when a body
+first asks for it — (A, t), from ``_mean_gap``, the one place that forms
+them; the mask of equal pairs; and L_p's log-ratio u with f(u).  A kernel
+call makes one pair, or one per block of a long call; the catalog's lookup
+makes one for all the kernels it evaluates on a block.
 
 ``MEANS`` is the one table of means: it maps each symbol the inequality
 catalog is written in to the label reports print, the names the command
@@ -90,13 +96,13 @@ def format_float(x: float) -> str:
 # --------------------------------------------------------------------------
 # kernels
 #
-# Each kernel body takes the ordered pair (hi, lo) of floats or same-shape
-# arrays, and ``_elementwise`` makes it the public kernel.  Branchy formulas
-# use the masked-lane idiom: ``_where`` picks the branch, and the unused lane
-# is fed a harmless argument first so it cannot raise or emit warnings.  The
-# lanes of an equal pair and of t = 0, which almost no input takes, are
-# computed only for a block that has such a pair; the bits are the same,
-# because np.where would have picked the same element values.
+# Each kernel body takes one ``_Pair`` of floats or same-shape arrays, and
+# ``_elementwise`` makes it the public kernel.  Branchy formulas use the
+# masked-lane idiom: ``_where`` picks the branch, and the unused lane is fed a
+# harmless argument first so it cannot raise or emit warnings.  The lanes of
+# an equal pair, which almost no input takes, are computed only for a block
+# that has such a pair; the bits are the same, because np.where would have
+# picked the same element values.
 
 # Pairs per block of a long array, small enough that a block's temporaries
 # stay in cache.  On a shared 2-core Xeon, the 14 kernels of the kernel-bands
@@ -114,11 +120,12 @@ _PY_REALS = (float, int)
 
 
 def _elementwise(body):
-    """The public kernel ``(a, b, *params)`` of ``body(hi, lo, *params)``,
-    which validates and orders the pair with ``_canon``.  Arrays longer than
-    ``_BLOCK`` go through the body a block at a time in ``_in_blocks``, with
-    the same bits: every step of a body, its whole-array tests too, acts
-    element by element.
+    """The public kernel ``(a, b, *params)`` of ``body(pair, *params)``, which
+    reads the ``_Pair`` of (a, b); a body takes at most one param, as L_p's
+    takes its order, and is the kernel's ``body`` attribute.  Arrays longer
+    than ``_BLOCK`` go through the body a block at a time in ``_in_blocks``,
+    one pair per block, with the same bits: every step of a body, its
+    whole-array tests too, acts element by element.
 
     Two Python floats take the float lane: the body runs on them as they
     are, skipping numpy's scalar machinery.  Python's + - * / on floats are
@@ -131,24 +138,27 @@ def _elementwise(body):
     @wraps(body)
     def kernel(a, b, *params):
         if type(a) is float and type(b) is float:
-            return float(body(*_canon(a, b), *params))
+            pair = _Pair(a, b)
+            # no star call: it costs a float call 120 ns
+            return float(body(pair, params[0]) if params else body(pair))
         # ints apart: folded into the test above, they cost floats 70-110 ns a call
         if type(a) in _PY_REALS and type(b) in _PY_REALS:
-            return float(body(*_canon(float(a), float(b)), *params))
+            return float(body(_Pair(float(a), float(b)), *params))
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.size <= _BLOCK and b.size <= _BLOCK:
-            return _ret(body(*_canon(a, b), *params))
+            return _ret(body(_Pair(a, b), *params))
         # a partial, not a closure: a closure would make params a cell
         # variable, which slows every scalar call
-        return _in_blocks(partial(_ordered, body, params), a, b)
+        return _in_blocks(partial(_on_block, body, params), a, b)
 
-    del kernel.__wrapped__  # callers pass (a, b) in either order, not the body's (hi, lo)
+    del kernel.__wrapped__  # callers pass (a, b) in either order, not the body's pair
+    kernel.body = body
     return kernel
 
 
-def _ordered(body, params, a, b):
-    return body(*_canon(a, b), *params)
+def _on_block(body, params, a, b):
+    return body(_Pair(a, b), *params)
 
 
 def _in_blocks(block, *operands):
@@ -171,14 +181,16 @@ def _in_blocks(block, *operands):
 
 
 def _canon(a, b):
-    if type(a) is float:  # one pair of Python floats
+    # lo <= hi, so lo > 0 with hi finite covers both; a NaN, in hi or lo, fails its test
+    if type(a) is float:  # one pair of Python floats, tested as they are
         hi, lo = (a, b) if a >= b else (b, a)
+        if lo > 0.0 and hi < math.inf:
+            return hi, lo
     else:
         hi, lo = np.maximum(a, b), np.minimum(a, b)
-    # lo <= hi, so lo > 0 with hi finite covers both; a NaN, in hi or lo, fails its test
-    if not (_least(lo) > 0.0 and _most(hi) < math.inf):
-        raise DomainError("mean arguments must be positive finite reals")
-    return hi, lo
+        if _least(lo) > 0.0 and _most(hi) < math.inf:
+            return hi, lo
+    raise DomainError("mean arguments must be positive finite reals")
 
 
 def _ret(x):
@@ -213,83 +225,137 @@ def _least(x):
 _TOP, _TINY = 2.0**1022, 2.0**-1022
 
 
-def _mean_gap(hi, lo, mean=True, gap=True):
+def _mean_gap(hi, lo):
     """(A, t) of an ordered pair of floats or arrays: A = (hi + lo)/2 and the
-    half-gap t = (hi - lo)/(hi + lo) in [0, 1]; a part not asked for is None.
+    half-gap t = (hi - lo)/(hi + lo) in [0, 1].
 
     An element with hi > 2^1022 takes both from its halved pair, which is
     exact and keeps the sum finite; the others keep the formulas as written.
+    t is 0 exactly at an equal pair: two distinct doubles differ by at least
+    2^-53 of the smaller, so t > 2^-55 there.
     """
     half = 0.5
-    if _most(hi) > _TOP:
+    if (hi if type(hi) is float else _most(hi)) > _TOP:  # one pair's float read directly
         top = hi > _TOP
         hi, lo = _where(top, 0.5 * hi, hi), _where(top, 0.5 * lo, lo)
         half = _where(top, 1.0, half)
     s = hi + lo
-    return half * s if mean else None, (hi - lo) / s if gap else None
+    return half * s, (hi - lo) / s
+
+
+class _Pair:
+    """One pair of floats, or a block of pairs, ordered and validated, with
+    the gap table its kernel bodies read.  Each entry is formed at most once,
+    when a body first asks for it, and lives as long as the pair does: a
+    pair travels as an argument, so no state is shared between calls or
+    threads.
+    """
+
+    __slots__ = ("hi", "lo", "_gap", "_equal", "_u", "_f_u")
+
+    def __init__(self, a, b):
+        self.hi, self.lo = _canon(a, b)
+        self._gap = self._equal = self._u = self._f_u = None
+
+    def mean_gap(self):
+        """(A, t) of ``_mean_gap``."""
+        if self._gap is None:
+            self._gap = _mean_gap(self.hi, self.lo)
+        return self._gap
+
+    def equal(self):
+        """The mask of equal pairs (a bool for one pair), or False where no
+        pair is equal.  t = 0 and u = 0 exactly there."""
+        if self._equal is None:
+            equal = self.hi == self.lo
+            self._equal = equal if _any(equal) else False
+        return self._equal
+
+    def log_ratio(self):
+        """L_p's u = ln(hi/lo), 1 at an equal pair, with the mask of ``equal``
+        that drops those lanes."""
+        if self._u is None:
+            hi, lo = self.hi, self.lo
+            far = hi * 1e-300 > lo
+            if _any(far):
+                # hi/lo may not be representable there; the masked lanes divide by hi
+                u = _where(far, np.log(hi) - np.log(lo), np.log1p((hi - lo) / _where(far, hi, lo)))
+            else:
+                u = np.log1p((hi - lo) / lo)
+            equal = self.equal()
+            self._u = (u if equal is False else _where(equal, 1.0, u)), equal
+        return self._u
+
+    def log_f(self):
+        """f(u) of ``_log_f`` at ``log_ratio``."""
+        if self._f_u is None:
+            self._f_u = _log_f((self._u or self.log_ratio())[0])  # no method call once u is formed
+        return self._f_u
 
 
 @_elementwise
-def arithmetic(hi, lo):
+def arithmetic(pair):
     """(a + b)/2."""
-    return _mean_gap(hi, lo, gap=False)[0]
+    return pair.mean_gap()[0]
 
 
 @_elementwise
-def geometric(hi, lo):
+def geometric(pair):
     """sqrt(a*b), computed as sqrt(a)*sqrt(b) so large inputs cannot overflow."""
     # sqrt(x)*sqrt(x) can land one ulp off x; equal arguments must return exactly.
-    return _equal_as_hi(hi, lo, np.sqrt(hi) * np.sqrt(lo))
+    return _equal_as_hi(pair, np.sqrt(pair.hi) * np.sqrt(pair.lo))
 
 
 @_elementwise
-def harmonic(hi, lo):
+def harmonic(pair):
     """2ab/(a + b) as hi·(lo/A), or as lo·(hi/A) where lo/A is subnormal (a/b past 1e308)."""
-    mean = _mean_gap(hi, lo, gap=False)[0]
+    hi, lo, mean = pair.hi, pair.lo, pair.mean_gap()[0]
     q = lo / mean
     return _where(q < _TINY, lo * (hi / mean), hi * q) if _least(q) < _TINY else hi * q
 
 
 @_elementwise
-def centroidal(hi, lo):
+def centroidal(pair):
     """2(a² + ab + b²)/(3(a + b)), evaluated as A·(1 + t²/3)."""
-    mean, t = _mean_gap(hi, lo)
+    mean, t = pair.mean_gap()
     return mean * (1.0 + t * t / 3.0)
 
 
 @_elementwise
-def contraharmonic(hi, lo):
+def contraharmonic(pair):
     """(a² + b²)/(a + b), evaluated as A·(1 + t²)."""
-    mean, t = _mean_gap(hi, lo)
+    mean, t = pair.mean_gap()
     return mean * (1.0 + t * t)
 
 
 @_elementwise
-def root_square(hi, lo):
+def root_square(pair):
     """sqrt((a² + b²)/2)."""
+    hi, lo = pair.hi, pair.lo
     if _most(hi) > _TOP:  # as for A and t: hypot of the halved pair, doubled
         half = _where(hi > _TOP, 0.5, 1.0)
-        return _equal_as_hi(hi, lo, np.hypot(half * hi, half * lo) / math.sqrt(2.0) / half)
-    return _equal_as_hi(hi, lo, np.hypot(hi, lo) / math.sqrt(2.0))
+        return _equal_as_hi(pair, np.hypot(half * hi, half * lo) / math.sqrt(2.0) / half)
+    return _equal_as_hi(pair, np.hypot(hi, lo) / math.sqrt(2.0))
 
 
-def _equal_as_hi(hi, lo, value):
+def _equal_as_hi(pair, value):
     # value, but hi itself at an equal pair
-    equal = hi == lo
-    return _where(equal, hi, value) if _any(equal) else value
+    equal = pair.equal()
+    return value if equal is False else _where(equal, pair.hi, value)
 
 
-def _over_angle(mean, t, angle):
-    # A·t/angle(t), and A at t = 0, where the masked lane is fed t = 1/2
-    zero = t == 0.0
-    if not _any(zero):
+def _over_angle(pair, angle):
+    # A·t/angle(t), and A at t = 0, an equal pair, where the masked lane is fed t = 1/2
+    mean, t = pair.mean_gap()
+    zero = pair.equal()
+    if zero is False:
         return mean * (t / angle(t))
     ts = _where(zero, 0.5, t)
     return mean * _where(zero, 1.0, ts / angle(ts))
 
 
 @_elementwise
-def first_seiffert(hi, lo):
+def first_seiffert(pair):
     """(a - b)/(2 arcsin t) with t = (a - b)/(a + b); value a when a = b.
 
     The quotient t/arcsin(t) is well conditioned down to t = 0, but arcsin
@@ -299,28 +365,30 @@ def first_seiffert(hi, lo):
     straight from the inputs with small relative error.  That form would
     cancel catastrophically at small t, so each half keeps its own lane.
     """
-    mean, t = _mean_gap(hi, lo)
+    mean, t = pair.mean_gap()
     near = t <= 0.5  # also where _over_angle feeds t = 0 its 1/2
     if _all(near):
-        return _over_angle(mean, t, np.arcsin)
-    flipped = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (lo / mean)))
-    return _over_angle(mean, t, lambda ts: _where(near, np.arcsin(ts), flipped))
+        return _over_angle(pair, np.arcsin)
+    flipped = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(0.5 * (pair.lo / mean)))
+    if not _any(near):  # every t > 1/2, so no pair is equal: the complement lane alone
+        return mean * (t / flipped)
+    return _over_angle(pair, lambda ts: _where(near, np.arcsin(ts), flipped))
 
 
 @_elementwise
-def second_seiffert(hi, lo):
+def second_seiffert(pair):
     """(a - b)/(2 arctan t) with t = (a - b)/(a + b); value a when a = b."""
-    return _over_angle(*_mean_gap(hi, lo), np.arctan)
+    return _over_angle(pair, np.arctan)
 
 
 @_elementwise
-def neuman_sandor(hi, lo):
+def neuman_sandor(pair):
     """(a - b)/(2 asinh t) with t = (a - b)/(a + b); value a when a = b.
 
     The quotient t/asinh(t) does not cancel as t -> 0, so like the Seiffert
     means it is evaluated as written down to the smallest t.
     """
-    return _over_angle(*_mean_gap(hi, lo), np.arcsinh)
+    return _over_angle(pair, np.arcsinh)
 
 
 def _log_f(x):
@@ -356,25 +424,26 @@ def generalized_logarithmic(p, a, b):
 
     Equal arguments return the common value for every p.
     """
-    p = float(p)
+    p = float(p)  # _order's check inline: the call costs a float call 60 ns
     if not math.isfinite(p):
         raise ParameterError("order p must be finite")
     return _generalized_logarithmic(a, b, p)
 
 
+def _order(p) -> float:
+    # an order of L_p as a float, refused unless finite
+    p = float(p)
+    if not math.isfinite(p):
+        raise ParameterError("order p must be finite")
+    return p
+
+
 @_elementwise
-def _generalized_logarithmic(hi, lo, p):
+def _generalized_logarithmic(pair, p):
+    hi = pair.hi
     if abs(p) > _P_IS_INFINITE:
-        return hi if p > 0.0 else lo
-    far = hi * 1e-300 > lo
-    if _any(far):
-        # hi/lo may not be representable there; the masked lanes divide by hi
-        u = _where(far, np.log(hi) - np.log(lo), np.log1p((hi - lo) / _where(far, hi, lo)))
-    else:
-        u = np.log1p((hi - lo) / lo)
-    equal = u == 0.0
-    some_equal = _any(equal)
-    us = _where(equal, 1.0, u) if some_equal else u  # equal pairs: dropped by the last where()
+        return hi if p > 0.0 else pair.lo
+    us, equal = pair.log_ratio()
     anchor = hi
     if abs(p) < _P_IS_ZERO:
         expo = us * np.exp(-us) / -np.expm1(-us) - 1.0
@@ -384,23 +453,31 @@ def _generalized_logarithmic(hi, lo, p):
         expo = (np.log1p(y) - math.log1p(p)) / p
     else:
         f_q = _log_f(abs(p + 1.0) * us) if p != -1.0 else 0.0
-        expo = (f_q - _log_f(us)) / p
+        expo = (f_q - pair.log_f()) / p
         if p < -1.0:
-            anchor = np.power(hi, -1.0 / p) * np.power(lo, (p + 1.0) / p)
-            if some_equal:  # equal pairs: e^expo > 1 could overflow hi
+            anchor = np.power(hi, -1.0 / p) * np.power(pair.lo, (p + 1.0) / p)
+            if equal is not False:  # equal pairs: e^expo > 1 could overflow hi
                 expo = _where(equal, 0.0, expo)
     value = anchor * np.exp(expo)
-    return _where(equal, hi, value) if some_equal else value
+    return value if equal is False else _where(equal, hi, value)
+
+
+def _of_order(p: float):
+    """L_p of one finite order p as a kernel of (a, b), with the ``body`` of a
+    kernel: L_p on a ``_Pair``."""
+    kernel = partial(generalized_logarithmic, p)
+    kernel.body = partial(_generalized_logarithmic.body, p=p)
+    return kernel
 
 
 @_elementwise
-def ch_difference(hi, lo):
+def ch_difference(pair):
     """(a - b)²/(a + b): the gap between contraharmonic and arithmetic means, doubled.
 
     Equals 2(C - A) = 2A·t², and is evaluated as (hi - lo)·t; it is the natural
     yardstick the additive mean comparisons are measured against.
     """
-    return (hi - lo) * _mean_gap(hi, lo, mean=False)[1]
+    return (pair.hi - pair.lo) * pair.mean_gap()[1]
 
 
 class Mean(NamedTuple):
@@ -423,8 +500,8 @@ MEANS = {
     "T": Mean("second-seiffert", ("second-seiffert", "seiffert2", "t"), second_seiffert),
     "Q": Mean("root-square", ("root-square", "quadratic", "q"), root_square),
     "M": Mean("neuman-sandor", ("neuman-sandor", "ns", "m"), neuman_sandor),
-    "I": Mean("L[0]", ("identric", "i"), partial(generalized_logarithmic, 0.0)),
-    "L": Mean("L[-1]", ("logarithmic", "l"), partial(generalized_logarithmic, -1.0)),
+    "I": Mean("L[0]", ("identric", "i"), _of_order(0.0)),
+    "L": Mean("L[-1]", ("logarithmic", "l"), _of_order(-1.0)),
 }
 
 _GLOG_HEADS = ("l", "glog", "generalized-logarithmic")
@@ -446,7 +523,7 @@ def parse(text: str) -> tuple[str, Callable]:
             p = math.nan
         if not math.isfinite(p):
             raise ParameterError(f"bad order in mean name {text!r}")
-        return f"L[{format_float(p)}]", partial(generalized_logarithmic, p)
+        return f"L[{format_float(p)}]", _of_order(p)
     for mean in MEANS.values():
         if key in mean.aliases:
             return mean.label, mean.kernel

@@ -32,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DegeneratePairError, DomainError, ParameterError
-from .means import _BLOCK, PositivePair, _all, _canon, _in_blocks, _mean_gap, _ret, _where
+from .means import _BLOCK, PositivePair, _all, _in_blocks, _Pair, _ret, _where
 from .series import SeriesId, series
 
 __all__ = [
@@ -141,7 +141,7 @@ def _gap_theta(pair: PositivePair) -> tuple[float, float]:
     # t = |a - b|/(a + b), as the kernels form it, and θ = asinh t
     if pair.degenerate:
         raise DegeneratePairError("equal arguments do not determine a θ")
-    t = float(_mean_gap(*_canon(pair.a, pair.b), mean=False)[1])
+    t = float(_Pair(pair.a, pair.b).mean_gap()[1])
     return t, math.asinh(t)
 
 

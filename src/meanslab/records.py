@@ -43,7 +43,9 @@ import numpy as np
 
 from .constants import SharpConstant, constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
-from .means import _BLOCK, _PY_REALS, MEANS, PositivePair, _any, _where, ch_difference, generalized_logarithmic
+from .means import (
+    _PY_REALS, MEANS, PositivePair, _any, _generalized_logarithmic, _order, _Pair, _ret, _where, ch_difference,
+)
 
 __all__ = [
     "InequalityRecord",
@@ -68,8 +70,7 @@ _NOISE = 100.0 * _EPS * 16.0  # 100 ulp of a noise sum, which is in 2^-4 units
 _PROBE_STEPS = 64
 
 
-@dataclass(frozen=True)
-class MarginSample:
+class MarginSample(NamedTuple):
     """Raw signed margins for a batch of pairs plus their noise scales.
 
     A ``None`` side means the record makes no claim on that side.  Scales
@@ -163,17 +164,27 @@ def _domain_note(domain: tuple[float, float] | None) -> str | None:
 
 
 class _Means(dict):
-    """Mean values on one batch of pairs ``(a, b)``, keyed by kernel: each
-    kernel is evaluated at most once, when a form first asks for it."""
+    """Mean values on one batch of pairs ``(a, b)``, keyed by kernel.  The
+    lookup holds the one ``means._Pair`` of its pairs, so they are ordered
+    and checked once and its gap table — (A, t), the equal pairs, L_p's u
+    and f(u) — is formed once for every kernel; each kernel's body is
+    evaluated on it at most once, when a form first asks for it.  The
+    table's arrays are freed with the lookup."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "pair")
 
     def __init__(self, a, b):
         self.a, self.b = a, b
+        self.pair = _Pair(a, b)
 
     def __missing__(self, kernel):
-        value = self[kernel] = kernel(self.a, self.b)
+        value = self[kernel] = self.value(kernel.body)
         return value
+
+    def value(self, body, *params):
+        """``body`` on the lookup's pair, of the kind its public kernel returns."""
+        value = body(self.pair, *params)
+        return float(value) if type(self.a) is float else _ret(value)
 
 
 @lru_cache(maxsize=1)
@@ -251,10 +262,9 @@ def _chain(kernels, means, lo, up):
 
 
 def _ky_fan(kernels, means, lo, up):
-    # the chain of X/X' with X' = X(1-a, 1-b); the reflected pair is not the
-    # lookup's pair, so its values are computed here and not kept
-    a2, b2 = 1.0 - means.a, 1.0 - means.b
-    return _ordered([means[k] / k(a2, b2) for k in kernels])
+    # the chain of X/X' with X' = X(1-a, 1-b), read off a lookup of the reflected pair
+    reflected = _Means(1.0 - means.a, 1.0 - means.b)
+    return _ordered([means[k] / reflected[k] for k in kernels])
 
 
 def _product(kernels, means, lo, up):
@@ -275,10 +285,11 @@ def _product(kernels, means, lo, up):
 
 
 def _window(kernels, means, p, q):
-    # L_p < X < L_q; the bounds in force are the exponents.
+    # L_p < X < L_q; the bounds in force are the exponents, and L_p is read
+    # off the lookup's pair as a mean is
     m = means[kernels[0]]
-    below = generalized_logarithmic(p, means.a, means.b)
-    above = generalized_logarithmic(q, means.a, means.b)
+    below = means.value(_generalized_logarithmic.body, _order(p))
+    above = means.value(_generalized_logarithmic.body, _order(q))
     return MarginSample(m - below, above - m, _noise_sum((m, below)), _noise_sum((m, above)))
 
 
@@ -499,20 +510,23 @@ class VerificationReport:
     passed: bool
 
 
-# Pairs per page of the seeded draw.  The pages are walked in blocks, so the
-# draw's memory does not grow with the sample count.  verify-all at 1e6
-# samples (seed 42) in one process on a shared 2-core Xeon: peak RSS, the
-# median pass of 4 (range over 3 processes) and minor faults per pass.
-#   one whole draw   63.0 MB   0.75-0.92 s    3.6k
-#   2^14             42.9 MB   0.90-1.04 s   72.9k
-#   2^15             43.6 MB   0.69-0.98 s   30.0k
-#   2^16             45.1 MB   0.72-0.93 s    7.9k
-#   2^17             48.2 MB   0.58-0.95 s   13.0k
-#   2^18             54.1 MB   0.62-1.00 s    5.9k
-# Small pages fault: a 2^14-pair page frees no array large enough to raise
-# glibc's dynamic mmap threshold, so the heap is trimmed and faulted in again
-# after each block.  From 2^16 on, the pass times overlap within the noise.
-_PAGE = 8 * _BLOCK
+# Pairs per block of verify_all's walk, where one lookup holds every mean of
+# the block for all the records, and pairs per page of the seeded draw, which
+# is walked in blocks, so the draw's memory does not grow with the sample
+# count.  verify-all at 1e6 samples (seed 1), 7 passes in one process, two
+# processes each, on a shared 2-core Xeon: peak RSS, the median pass and
+# minor faults per pass.
+#   block  page
+#   2^12   2^16   42.8-42.9 MB   0.57-0.59 s    3.9k
+#   2^13   2^16   43.8-44.2 MB   0.48-0.49 s    6.5-7.7k
+#   2^14   2^16   46.1-46.2 MB   0.46-0.47 s   11.5k
+#   2^13   2^15   43.0 MB        0.49-0.50 s   10.8k
+#   2^13   2^17   45.7 MB        0.48-0.51 s    5.1k
+# With one kernel call per mean, 2^14-pair blocks and 2^17-pair pages drawn
+# through temporaries, the same runs took 48.1-48.2 MB, 0.54-0.57 s and 13.0k.
+# Each block's pair table lives as long as its lookup.
+_FOLD_BLOCK = 1 << 13
+_PAGE = 8 * _FOLD_BLOCK
 
 
 def _pages(domain: tuple[float, float] | None, count: int, seed: int):
@@ -527,10 +541,13 @@ def _pages(domain: tuple[float, float] | None, count: int, seed: int):
         if domain is not None:  # uniform, 1e-6 inside either end
             low, high = domain[0] + 1e-6, domain[1] - 1e-6
             yield first.uniform(low, high, n), second.uniform(low, high, n)
-        else:
-            ratio = 10.0 ** first.uniform(0.0, 8.0, n)
-            b = 10.0 ** second.uniform(-3.0, 3.0, n)
-            yield ratio * b, b
+        else:  # a = 10^x·b in place: the bits of 10.0 ** x * b, with no temporaries
+            a = first.uniform(0.0, 8.0, n)
+            b = second.uniform(-3.0, 3.0, n)
+            np.power(10.0, a, out=a)
+            np.power(10.0, b, out=b)
+            a *= b
+            yield a, b
 
 
 class _Fold:
@@ -600,8 +617,8 @@ def _fold_sample(domain, folds, count: int, seed: int) -> None:
     # means all of its records read; a page is a whole number of blocks, so
     # the blocks are those of one whole draw.
     for a, b in _pages(domain, count, seed):
-        for start in range(0, a.size, _BLOCK):
-            means = _Means(a[start : start + _BLOCK], b[start : start + _BLOCK])
+        for start in range(0, a.size, _FOLD_BLOCK):
+            means = _Means(a[start : start + _FOLD_BLOCK], b[start : start + _FOLD_BLOCK])
             for fold in folds:
                 fold.add(means)
 

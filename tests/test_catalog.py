@@ -7,8 +7,12 @@ import io
 import json
 import math
 import pkgutil
+import sys
+import threading
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -32,9 +36,10 @@ from meanslab import (
     verify_all,
     verify_random,
 )
-from meanslab.means import MEANS, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
+from meanslab import means as means_module
+from meanslab.means import _BLOCK, MEANS, _of_order, arithmetic, centroidal, ch_difference, contraharmonic, harmonic
 from meanslab.records import (
-    _BLOCK,
+    _FOLD_BLOCK,
     _PAGE,
     SPECS,
     InequalityRecord,
@@ -130,6 +135,16 @@ def test_ratio_record_margins_on_a_worked_pair():
     m2 = verify("thm3.2", PositivePair(3.0, 1.0))
     assert m2.lower == pytest.approx(1.5107905926817720, rel=1e-13, abs=0.0)
     assert m2.upper is None
+
+
+def test_a_margin_sample_is_an_immutable_named_tuple():
+    sample = record("thm3.1").margins(3.0, 1.0)
+    assert isinstance(sample, tuple)
+    assert sample._fields == ("lower", "upper", "lower_scale", "upper_scale")
+    assert repr(sample) == "MarginSample(lower={!r}, upper={!r}, lower_scale={!r}, upper_scale={!r})".format(*sample)
+    assert repr(sample).startswith("MarginSample(lower=0.010790592681771738, upper=0.005246412098306064, ")
+    with pytest.raises(AttributeError):
+        sample.lower = 0.0
 
 
 def test_chain_record_positive_gaps():
@@ -308,8 +323,10 @@ MADE_UP = (
 @pytest.mark.parametrize(
     "count,seed",
     [(count, seed) for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3) for seed in (42, 3)]
+    # counts that straddle the blocks of the walk
+    + [(count, 42) for count in (_FOLD_BLOCK - 1, _FOLD_BLOCK + 1, 2 * _FOLD_BLOCK + 3)]
     # counts that straddle the pages of the draw
-    + [(count, 42) for count in (_PAGE - 1, _PAGE + 1, 2 * _PAGE + _BLOCK + 3)],
+    + [(count, 42) for count in (_PAGE - 1, _PAGE + 1, 2 * _PAGE - 1, 2 * _PAGE + 1, 4 * _PAGE + _BLOCK + 3)],
 )
 def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
     records = catalog() + MADE_UP
@@ -328,6 +345,14 @@ def test_the_memory_of_a_sample_does_not_grow_with_its_count(traced_peak):
     # the draw is made page by page: four times the pairs, the same peak
     small, large = (traced_peak(verify_all, catalog(), count, 1)[1] for count in (2**18, 2**20))
     assert large <= 1.1 * small, (small, large)
+
+
+def test_a_sample_allocates_a_few_blocks_and_a_page(traced_peak):
+    # 6.51 MiB with 2^14-pair blocks, 2^17-pair pages drawn through temporaries
+    # and a kernel call per mean; 3.20 MiB with 2^13-pair blocks, one pair
+    # table per block and 2^16-pair pages drawn in place
+    peak = traced_peak(verify_all, catalog(), 2**20, 1)[1]
+    assert peak < 4.5 * 2**20, peak
 
 
 def test_a_sample_far_beyond_memory_starts_its_walk(monkeypatch):
@@ -349,15 +374,18 @@ LOG_RATIO_MEANS = {"A", "G", "H", "Cbar", "C", "P", "T", "Q", "M", "I", "L", "CH
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Records rebuilt over counting kernels; returns them and the (a, b) of
-    every call, by mean symbol."""
+    """Records rebuilt over kernels whose bodies count their calls; returns
+    them and the (hi, lo) of every call, by mean symbol."""
     calls = defaultdict(list)
 
     def counted(symbol, kernel):
-        def wrapper(a, b):
-            calls[symbol].append((a, b))
-            return kernel(a, b)
-        return wrapper
+        def body(pair):
+            calls[symbol].append((pair.hi, pair.lo))
+            return kernel.body(pair)
+
+        spy = partial(kernel)  # the kernel, carrying the counting body
+        spy.body = body
+        return spy
 
     for symbol, mean in list(MEANS.items()):
         monkeypatch.setitem(MEANS, symbol, mean._replace(kernel=counted(symbol, mean.kernel)))
@@ -370,7 +398,7 @@ def test_each_mean_is_computed_once_per_block(kernel_calls):
     records, calls = kernel_calls
     log_ratio = [rec for rec in records if rec.sampler == "log-ratio"]
     blocks = 3
-    verify_all(log_ratio, 2 * _BLOCK + 3, seed=1)
+    verify_all(log_ratio, 2 * _FOLD_BLOCK + 3, seed=1)
     assert {symbol: len(c) for symbol, c in calls.items()} == dict.fromkeys(LOG_RATIO_MEANS, blocks)
     # record by record, the same pairs cost 49 kernel calls
     calls.clear()
@@ -383,13 +411,62 @@ def test_each_mean_is_computed_once_per_block(kernel_calls):
 def test_ky_fan_reflected_values_bypass_the_block_lookup(kernel_calls):
     records, calls = kernel_calls
     (kyfan,) = [rec for rec in records if rec.sampler == "unit-interval"]
-    verify_all([kyfan], 2 * _BLOCK + 3, seed=1)
+    verify_all([kyfan], 2 * _FOLD_BLOCK + 3, seed=1)
     assert set(calls) == {"G", "L", "P", "A", "M", "T"}
     for symbol, pairs in calls.items():
-        # per block: the pair itself, then the reflected pair, freshly computed
+        # per block: the pair itself, then the reflected pair, freshly
+        # computed on a lookup of its own; 1 - x reverses the order
         assert len(pairs) == 2 * 3, symbol
-        for (a, b), (a2, b2) in zip(pairs[::2], pairs[1::2]):
-            assert np.array_equal(a2, 1.0 - a) and np.array_equal(b2, 1.0 - b), symbol
+        for (hi, lo), (hi2, lo2) in zip(pairs[::2], pairs[1::2]):
+            assert np.array_equal(hi2, 1.0 - lo) and np.array_equal(lo2, 1.0 - hi), symbol
+
+
+@pytest.mark.parametrize("sampler,lookups", [("log-ratio", 1), ("unit-interval", 2)])
+def test_a_block_orders_its_pairs_and_forms_its_gaps_once(sampler, lookups, monkeypatch):
+    # one _canon and one (A, t) per lookup, however many kernels read them;
+    # a Ky Fan block has a second lookup, of its reflected pair
+    canon, mean_gap = means_module._canon, means_module._mean_gap
+    calls = defaultdict(list)
+
+    def spy(name, fn):
+        def counted(hi, lo):
+            calls[name].append(np.size(hi))
+            return fn(hi, lo)
+        return counted
+
+    monkeypatch.setattr(means_module, "_canon", spy("canon", canon))
+    monkeypatch.setattr(means_module, "_mean_gap", spy("mean_gap", mean_gap))
+    verify_all([rec for rec in catalog() if rec.sampler == sampler], 2 * _FOLD_BLOCK + 3, 1)
+    sizes = [size for size in (_FOLD_BLOCK, _FOLD_BLOCK, 3) for _ in range(lookups)]
+    assert calls == {"canon": sizes, "mean_gap": sizes}
+
+
+def test_lookups_on_two_threads_keep_their_own_bits():
+    # the pair table travels with its lookup, so two callers' threads
+    # switching every microsecond never read each other's gaps
+    rng = np.random.default_rng(71)
+    blocks = [(10.0 ** rng.uniform(0.0, 8.0, 512), np.ones(512)), (np.ones(512), 1.0 + rng.random(512))]
+    p0 = constant("lp0-l2.lower").float_value
+    kernels = [mean.kernel for mean in MEANS.values()] + [ch_difference, _of_order(p0), _of_order(2.0)]
+
+    def bits(a, b):  # every kernel off one lookup
+        lookup = _Means(a, b)
+        return [lookup[k].tobytes() for k in kernels]
+
+    want = [bits(*block) for block in blocks]
+    both = threading.Barrier(2)
+
+    def walk(i):
+        both.wait(timeout=10)
+        return all(bits(*blocks[i]) == want[i] for _ in range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(walk, (0, 1))) == [True, True]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------- scaling laws

@@ -32,8 +32,9 @@ from meanslab import (
     second_seiffert,
 )
 from meanslab import means
-from meanslab.means import _BLOCK, parse
+from meanslab.means import _BLOCK, _generalized_logarithmic, _of_order, parse
 from meanslab.ratios import h_eval
+from meanslab.records import _Means
 
 KERNELS = [mean.kernel for mean in MEANS.values()]
 
@@ -634,8 +635,8 @@ def test_bits_do_not_depend_on_the_share_count(label, shares, mixed_inputs):
 
 def test_every_block_sees_the_callers_errstate():
     @means._elementwise
-    def over_raises(hi, lo):
-        return np.full(hi.shape, np.geterr()["over"] == "raise")
+    def over_raises(pair):
+        return np.full(pair.hi.shape, np.geterr()["over"] == "raise")
 
     with np.errstate(over="raise"):
         seen = over_raises(np.ones(LONG), 2.0)
@@ -671,11 +672,14 @@ def test_each_block_is_evaluated_once_under_fast_thread_switching():
     # two callers' threads walk their own arrays at once; each walk takes
     # its blocks once, in order, and shares no state with the other
     taken = {}
+    both = threading.Barrier(2)
 
     @means._elementwise
-    def mark(hi, lo):
-        taken.setdefault(threading.get_ident(), []).append(hi[0])
-        return hi
+    def mark(pair):
+        if threading.get_ident() not in taken:
+            both.wait(timeout=10)  # two threads, even if one walk would finish before the other starts
+        taken.setdefault(threading.get_ident(), []).append(pair.hi[0])
+        return pair.hi
 
     blocks = 64
     a = np.repeat(np.arange(1.0, blocks + 1.0), _BLOCK)
@@ -879,13 +883,13 @@ def test_the_first_bad_block_decides_the_error():
     taken = []
 
     @means._elementwise
-    def two_errors(hi, lo):
-        taken.append(hi[0])
-        if hi[0] == 1.0:
+    def two_errors(pair):
+        taken.append(pair.hi[0])
+        if pair.hi[0] == 1.0:
             raise ValueError("block 0")
-        if hi[0] == 2.0:
+        if pair.hi[0] == 2.0:
             raise ZeroDivisionError("block 1")
-        return hi
+        return pair.hi
 
     with pytest.raises(ValueError, match="^block 0$"):
         two_errors(np.repeat(np.arange(1.0, 5.0), _BLOCK), 0.5)
@@ -897,3 +901,60 @@ def test_a_non_finite_order_is_refused_before_a_long_pair_is_checked():
     b[-1] = math.nan
     with pytest.raises(ParameterError):
         generalized_logarithmic(math.inf, a, b)
+
+
+# Every kernel the catalog's lookup evaluates: the registry's, CH, and L_p at
+# orders in each lane, as the exponent-window record reads them
+LOOKUP_ORDERS = (-3.0, -1.0, 0.0, 2.0, P0)
+LOOKUP = {
+    **{symbol: mean.kernel for symbol, mean in MEANS.items()},
+    "CH": ch_difference,
+    **{f"L{p!r}": _of_order(p) for p in LOOKUP_ORDERS},
+}
+
+
+def test_a_lookup_keeps_the_bits_of_the_public_kernels(mixed_inputs, float_lane_pairs):
+    # equal pairs, one ulp apart, subnormal, past 2^1022 and a/b = 1e300: as
+    # whole arrays, where the kernels walk blocks, and as Python floats; alone
+    # on a fresh lookup, and on one lookup whose table all of them share
+    a, b = mixed_inputs
+    shared = _Means(a, b)
+    for label, kernel in LOOKUP.items():
+        want = kernel(a, b).tobytes()
+        assert _Means(a, b)[kernel].tobytes() == want, label
+        assert shared[kernel].tobytes() == want, label
+    for p in LOOKUP_ORDERS:
+        want = generalized_logarithmic(p, a, b).tobytes()
+        assert shared.value(_generalized_logarithmic.body, p).tobytes() == want, p
+    xs, ys = float_lane_pairs
+    for x, y in zip(xs + ys, ys + xs):
+        shared = _Means(x, y)
+        for label, kernel in LOOKUP.items():
+            want = kernel(x, y)
+            for value in (_Means(x, y)[kernel], shared[kernel]):
+                assert type(value) is float and value.hex() == want.hex(), (label, x, y)
+        for p in LOOKUP_ORDERS:
+            value = shared.value(_generalized_logarithmic.body, p)
+            assert value.hex() == generalized_logarithmic(p, x, y).hex(), (p, x, y)
+
+
+@pytest.mark.parametrize("where", ["near", "far", "both"])
+def test_first_seiffert_takes_one_arcsin_lane_where_the_block_has_one(where, monkeypatch):
+    # t <= 1/2 only: arcsin(t); t > 1/2 only: the complement's arcsin alone;
+    # both: the two, picked by where
+    arcsin = np.arcsin
+    seen = []
+
+    def counted(x):
+        seen.append(np.size(x))
+        return arcsin(x)
+
+    a, calls = {
+        "near": (np.full(8, 2.0), [8]),
+        "far": (np.full(8, 5.0), [8]),
+        "both": (np.repeat([2.0, 5.0], 4), [8, 8]),
+    }[where]
+    want = first_seiffert(a, 1.0)
+    monkeypatch.setattr(np, "arcsin", counted)
+    assert first_seiffert(a, 1.0).tobytes() == want.tobytes()
+    assert seen == calls
