@@ -19,27 +19,20 @@ import argparse
 import sys
 
 from . import reporting
-from .constants import p0_residual, sharp_constants, solve_p0
+from .constants import p0_residual, solve_p0
 from .errors import NotApplicableError
 from .means import PositivePair, parse
-from .records import catalog, record, sharpness_probe, verify, verify_all
+from .records import catalog, record, sharp_constants, sharpness_probe, verify, verify_all
 from .series import SeriesId, difference_sign_check
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        dest="output_format",
-        choices=reporting.FORMATS,
-        default="human",
-    )
+    common.add_argument("--format", dest="output_format", choices=reporting.FORMATS, default="human")
     common.add_argument("--output", dest="output_path", default=None)
 
-    parser = argparse.ArgumentParser(
-        prog="meanslab",
-        description="Evaluate bivariate means and check the inequality catalog.",
-    )
+    description = "Evaluate bivariate means and check the inequality catalog."
+    parser = argparse.ArgumentParser(prog="meanslab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate one mean at a pair")
@@ -60,9 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser(
-        "series-check", parents=[common], help="sign-check coefficient differences"
-    )
+    p = sub.add_parser("series-check", parents=[common], help="sign-check coefficient differences")
     p.add_argument("--depth", type=int, default=200)
     p.set_defaults(run=_cmd_series_check)
 

@@ -1,14 +1,17 @@
 """Sharp constants of the mean comparisons, exactly and to 40 digits.
 
-Every best-possible weight or bound in the inequality catalog is an exact
-expression over a tiny vocabulary: integers, √2, ln(1+√2), e, and one
-number p0 defined by a scalar root equation.  Each constant is stored once,
-as the formula text that reports print; :func:`expr_value` parses that text
-and computes the high-precision value from it.
+Every best-possible weight or bound in the inequality catalog is the limit
+of its record's quotient at a = b or at a/b → ∞, and :mod:`meanslab.records`
+derives its exact text from the record's spec and each mean's two ends.
+This module holds the constants' names, contexts and order, p0's
+definition, and :func:`expr_value`, which parses a text and computes the
+high-precision value from it.
 
 Expression grammar (a subset of Python expression syntax): integer
 literals, unary minus, ``+ - * /``, parentheses, the one-argument calls
-``sqrt(x)`` and ``ln(x)``, and the names ``e`` and ``p0``.
+``sqrt(x)`` and ``ln(x)``, and the names ``e``, ``pi`` and ``p0`` (the root
+of a scalar equation).  Every value is a finite real: a division by zero or
+a call outside its real domain is refused, as text outside the grammar is.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import mpmath as mp
 
 from .errors import ParameterError
 
-__all__ = ["SharpConstant", "sharp_constants", "constant", "expr_value", "solve_p0", "p0_residual"]
+__all__ = ["SharpConstant", "expr_value", "solve_p0", "p0_residual"]
 
 _DPS = 40
 
@@ -49,7 +52,10 @@ def _node_value(node, text: str) -> mp.mpf:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return -_node_value(node.operand, text)
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return _BINARY[type(node.op)](_node_value(node.left, text), _node_value(node.right, text))
+        left, right = _node_value(node.left, text), _node_value(node.right, text)
+        if isinstance(node.op, ast.Div) and not right:
+            raise ParameterError(f"division by zero in expression {text!r}")
+        return _BINARY[type(node.op)](left, right)
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -57,11 +63,12 @@ def _node_value(node, text: str) -> mp.mpf:
         and len(node.args) == 1
         and not node.keywords
     ):
-        return _CALLS[node.func.id](_node_value(node.args[0], text))
-    if isinstance(node, ast.Name) and node.id == "e":
-        return +mp.e
-    if isinstance(node, ast.Name) and node.id == "p0":
-        return +_p0_hp()
+        value = _CALLS[node.func.id](_node_value(node.args[0], text))
+        if not (isinstance(value, mp.mpf) and mp.isfinite(value)):  # ln(0) is -inf, sqrt(-1) an mpc
+            raise ParameterError(f"{ast.unparse(node)!r} is not a finite real in expression {text!r}")
+        return value
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return +_NAMES[node.id]()
     raise ParameterError(f"unsupported term {ast.unparse(node)!r} in expression {text!r}")
 
 
@@ -75,6 +82,9 @@ def _p0_hp() -> mp.mpf:
     """The root p0 of :func:`_p0_gap`, to well past 40 digits."""
     with mp.workdps(60):
         return mp.findroot(_p0_gap, mp.mpf("1.84"))
+
+
+_NAMES = {"e": lambda: mp.e, "pi": lambda: mp.pi, "p0": _p0_hp}
 
 
 def solve_p0() -> float:
@@ -107,77 +117,40 @@ class SharpConstant:
         return float(self.value)
 
 
-_TABLE: tuple[tuple[str, str, str, str | None], ...] = (
-    ("thm3.1.lower", "sharp lower bound of (M - C)/CH", "1/(2*ln(1+sqrt(2))) - 1", None),
-    ("thm3.1.upper", "sharp upper bound of (M - C)/CH", "-5/12", None),
-    ("cor3.1.lower", "sharp coefficient in alpha*CH < C - M", "5/12", None),
-    ("cor3.1.upper", "sharp coefficient in C - M < beta*CH", "1 - 1/(2*ln(1+sqrt(2)))", None),
-    ("cor3.2.lower", "sharp coefficient in alpha*CH < Cbar - M", "1/12", None),
-    ("cor3.2.upper", "sharp coefficient in Cbar - M < beta*CH", "2/3 - 1/(2*ln(1+sqrt(2)))", None),
-    ("thm3.2.lower", "sharp one-sided bound in lambda*CH < M", "1/(2*ln(1+sqrt(2)))", None),
-    ("thm3.3.lower", "sharp weight in alpha*Q + (1-alpha)*M < Cbar", "1/2", None),
-    (
-        "thm3.3.upper",
-        "sharp weight in Cbar < beta*Q + (1-beta)*M",
-        "(3 - 4*ln(1+sqrt(2)))/(3*(1 - sqrt(2)*ln(1+sqrt(2))))",
-        None,
-    ),
-    (
-        "thm3.4.lower",
-        "sharp weight in alpha*C + (1-alpha)*M < Q",
-        "(sqrt(2)*ln(1+sqrt(2)) - 1)/(2*ln(1+sqrt(2)) - 1)",
-        None,
-    ),
-    ("thm3.4.upper", "sharp weight in Q < beta*C + (1-beta)*M", "2/5", None),
-    (
-        "neuman-QA.lower",
-        "sharp weight in alpha*Q + (1-alpha)*A < M",
-        "(1 - ln(1+sqrt(2)))/((sqrt(2) - 1)*ln(1+sqrt(2)))",
-        None,
-    ),
-    ("neuman-QA.upper", "sharp weight in M < beta*Q + (1-beta)*A", "1/3", None),
-    (
-        "neuman-CA.lower",
-        "sharp weight in lambda*C + (1-lambda)*A < M",
-        "(1 - ln(1+sqrt(2)))/ln(1+sqrt(2))",
-        None,
-    ),
-    ("neuman-CA.upper", "sharp weight in M < mu*C + (1-mu)*A", "1/6", None),
-    ("zhao-HQ.lower", "sharp weight in alpha*H + (1-alpha)*Q < M", "2/9", None),
-    ("zhao-HQ.upper", "sharp weight in M < beta*H + (1-beta)*Q", "1 - 1/(sqrt(2)*ln(1+sqrt(2)))", None),
-    ("zhao-GQ.lower", "sharp weight in alpha*G + (1-alpha)*Q < M", "1/3", None),
-    ("zhao-GQ.upper", "sharp weight in M < beta*G + (1-beta)*Q", "1 - 1/(sqrt(2)*ln(1+sqrt(2)))", None),
-    ("zhao-HC.lower", "sharp weight in alpha*H + (1-alpha)*C < M", "1 - 1/(2*ln(1+sqrt(2)))", None),
-    ("zhao-HC.upper", "sharp weight in M < beta*H + (1-beta)*C", "5/12", None),
-    ("identric-IQ.lower", "sharp weight in alpha*I + (1-alpha)*Q < M", "1/2", None),
-    (
-        "identric-IQ.upper",
-        "sharp weight in M < beta*I + (1-beta)*Q",
-        "e*(sqrt(2)*ln(1+sqrt(2)) - 1)/((sqrt(2)*e - 2)*ln(1+sqrt(2)))",
-        None,
-    ),
-    (
-        "lp0-l2.lower",
-        "largest exponent p with L_p below the asinh mean everywhere",
-        "p0",
-        "unique root of (p+1)^(1/p) = 2*ln(1+sqrt(2)) on [1.5, 2.5]",
-    ),
-)
+# The sharp constants, in the order they are listed, each with the claim it
+# is sharp in.  Each one's text is derived from its record's spec.
+_TABLE = {
+    "thm3.1.lower": "sharp lower bound of (M - C)/CH",
+    "thm3.1.upper": "sharp upper bound of (M - C)/CH",
+    "cor3.1.lower": "sharp coefficient in alpha*CH < C - M",
+    "cor3.1.upper": "sharp coefficient in C - M < beta*CH",
+    "cor3.2.lower": "sharp coefficient in alpha*CH < Cbar - M",
+    "cor3.2.upper": "sharp coefficient in Cbar - M < beta*CH",
+    "thm3.2.lower": "sharp one-sided bound in lambda*CH < M",
+    "thm3.3.lower": "sharp weight in alpha*Q + (1-alpha)*M < Cbar",
+    "thm3.3.upper": "sharp weight in Cbar < beta*Q + (1-beta)*M",
+    "thm3.4.lower": "sharp weight in alpha*C + (1-alpha)*M < Q",
+    "thm3.4.upper": "sharp weight in Q < beta*C + (1-beta)*M",
+    "neuman-QA.lower": "sharp weight in alpha*Q + (1-alpha)*A < M",
+    "neuman-QA.upper": "sharp weight in M < beta*Q + (1-beta)*A",
+    "neuman-CA.lower": "sharp weight in lambda*C + (1-lambda)*A < M",
+    "neuman-CA.upper": "sharp weight in M < mu*C + (1-mu)*A",
+    "zhao-HQ.lower": "sharp weight in alpha*H + (1-alpha)*Q < M",
+    "zhao-HQ.upper": "sharp weight in M < beta*H + (1-beta)*Q",
+    "zhao-GQ.lower": "sharp weight in alpha*G + (1-alpha)*Q < M",
+    "zhao-GQ.upper": "sharp weight in M < beta*G + (1-beta)*Q",
+    "zhao-HC.lower": "sharp weight in alpha*H + (1-alpha)*C < M",
+    "zhao-HC.upper": "sharp weight in M < beta*H + (1-beta)*C",
+    "identric-IQ.lower": "sharp weight in alpha*I + (1-alpha)*Q < M",
+    "identric-IQ.upper": "sharp weight in M < beta*I + (1-beta)*Q",
+    "lp0-l2.lower": "largest exponent p with L_p below the asinh mean everywhere",
+}
+_P0_DEFINITION = "unique root of (p+1)^(1/p) = 2*ln(1+sqrt(2)) on [1.5, 2.5]"
 
 
-@lru_cache(maxsize=1)
-def sharp_constants() -> tuple[SharpConstant, ...]:
-    """All sharp constants in the catalog, each with a 40-digit value."""
+def _sharp_constant(name: str, text: str) -> SharpConstant:
+    """The constant ``name`` of a derived text, with its context and its value
+    to 40 digits; ParameterError if the text has no finite real value."""
     with mp.workdps(_DPS):
-        return tuple(
-            SharpConstant(name, context, expr, expr_value(expr), definition)
-            for name, context, expr, definition in _TABLE
-        )
-
-
-def constant(name: str) -> SharpConstant:
-    """Look up a sharp constant by its catalog name."""
-    for c in sharp_constants():
-        if c.name == name:
-            return c
-    raise ParameterError(f"unknown sharp constant {name!r}")
+        value = expr_value(text)
+    return SharpConstant(name, _TABLE.get(name, ""), text, value, _P0_DEFINITION if text == "p0" else None)

@@ -26,13 +26,15 @@ makes one for all the kernels it evaluates on a block.
 
 ``MEANS`` is the one table of means: it maps each symbol the inequality
 catalog is written in to the label reports print, the names the command
-line accepts, and the kernel.
+line accepts, the kernel, and the mean's two ends, from which the catalog
+derives its sharp constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial, wraps
 from typing import Callable, NamedTuple
 
@@ -482,26 +484,30 @@ def ch_difference(pair):
 
 class Mean(NamedTuple):
     """One registry entry: the label reports print, every name the command
-    line accepts for it (lower case), and its kernel."""
+    line accepts for it (lower case), its kernel, and its two ends as A·φ(t):
+    ``near``, the d in φ = 1 + d·t² + O(t⁴) at a = b, and ``far``, φ(1) at
+    a/b → ∞, as text in the grammar of :func:`meanslab.constants.expr_value`."""
 
     label: str
     aliases: tuple[str, ...]
     kernel: Callable
+    near: Fraction
+    far: str
 
 
 # The means the catalog is written over, by the symbol its statements use.
 MEANS = {
-    "A": Mean("arithmetic", ("arithmetic", "a"), arithmetic),
-    "G": Mean("geometric", ("geometric", "g"), geometric),
-    "H": Mean("harmonic", ("harmonic", "h"), harmonic),
-    "Cbar": Mean("centroidal", ("centroidal",), centroidal),
-    "C": Mean("contraharmonic", ("contraharmonic", "c"), contraharmonic),
-    "P": Mean("first-seiffert", ("first-seiffert", "seiffert1", "p"), first_seiffert),
-    "T": Mean("second-seiffert", ("second-seiffert", "seiffert2", "t"), second_seiffert),
-    "Q": Mean("root-square", ("root-square", "quadratic", "q"), root_square),
-    "M": Mean("neuman-sandor", ("neuman-sandor", "ns", "m"), neuman_sandor),
-    "I": Mean("L[0]", ("identric", "i"), _of_order(0.0)),
-    "L": Mean("L[-1]", ("logarithmic", "l"), _of_order(-1.0)),
+    "A": Mean("arithmetic", ("arithmetic", "a"), arithmetic, Fraction(0), "1"),
+    "G": Mean("geometric", ("geometric", "g"), geometric, Fraction(-1, 2), "0"),
+    "H": Mean("harmonic", ("harmonic", "h"), harmonic, Fraction(-1), "0"),
+    "Cbar": Mean("centroidal", ("centroidal",), centroidal, Fraction(1, 3), "4/3"),
+    "C": Mean("contraharmonic", ("contraharmonic", "c"), contraharmonic, Fraction(1), "2"),
+    "P": Mean("first-seiffert", ("first-seiffert", "seiffert1", "p"), first_seiffert, Fraction(-1, 6), "2/pi"),
+    "T": Mean("second-seiffert", ("second-seiffert", "seiffert2", "t"), second_seiffert, Fraction(1, 3), "4/pi"),
+    "Q": Mean("root-square", ("root-square", "quadratic", "q"), root_square, Fraction(1, 2), "sqrt(2)"),
+    "M": Mean("neuman-sandor", ("neuman-sandor", "ns", "m"), neuman_sandor, Fraction(1, 6), "1/ln(1+sqrt(2))"),
+    "I": Mean("L[0]", ("identric", "i"), _of_order(0.0), Fraction(-1, 6), "2/e"),
+    "L": Mean("L[-1]", ("logarithmic", "l"), _of_order(-1.0), Fraction(-1, 3), "0"),
 }
 
 _GLOG_HEADS = ("l", "glog", "generalized-logarithmic")

@@ -1,16 +1,17 @@
 """Machine-checkable catalog of the sharp inequalities between the means.
 
 Every record is declared in ``SPECS`` as one of five forms over the mean
-symbols of :data:`meanslab.means.MEANS`; that entry, with the formula text
-of its constants, is the record's claim.  :func:`build_record` binds the
-kernels and the vectorised margin function: positive margins mean the
-inequality holds on that pair, and the attached
-:class:`~meanslab.constants.SharpConstant` objects are the claimed
-best-possible weights or bounds.  Thirteen records are the paper's linear
-relations between differences of means, ``alpha*(X - W) < Z - Y <
-beta*(X - W)`` (``X - W`` may be ``CH``): their margins are ``R - alpha`` and
-``beta - R`` times the sign of ``X - W``, for ``R = (Z - Y)/(X - W)``, in the
-constant's own units.  Three things can be done with records:
+symbols of :data:`meanslab.means.MEANS`, and that entry is its whole claim:
+a sharp side names the end where its constant is attained, and the
+constant's text and its probe's direction follow from the spec and each
+mean's two ends.  :func:`build_record` binds the kernels and the vectorised
+margin function: positive margins mean the inequality holds on that pair,
+and the attached :class:`~meanslab.constants.SharpConstant` objects, listed
+by :func:`sharp_constants`, are the claimed best-possible weights or bounds.
+Thirteen records are the paper's linear relations between differences of
+means, ``alpha*(X - W) < Z - Y < beta*(X - W)`` (``X - W`` may be ``CH``):
+their margins are ``R - alpha`` and ``beta - R`` times the sign of
+``X - W``, for ``R = (Z - Y)/(X - W)``, in the constant's own units.  Three things can be done with records:
 
 * :func:`verify` — evaluate one record's margins on one pair; records
   verified in turn on the same pair share its mean values;
@@ -41,10 +42,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .constants import SharpConstant, constant
+from .constants import _TABLE, SharpConstant, _sharp_constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
 from .means import (
-    _PY_REALS, MEANS, PositivePair, _any, _generalized_logarithmic, _order, _Pair, _ret, _where, ch_difference,
+    _PY_REALS, MEANS, Mean, PositivePair, _any, _generalized_logarithmic, _order, _Pair, _ret, _where, ch_difference,
 )
 
 __all__ = [
@@ -58,7 +59,9 @@ __all__ = [
     "VerificationReport",
     "build_record",
     "catalog",
+    "constant",
     "record",
+    "sharp_constants",
     "verify",
     "verify_all",
     "verify_random",
@@ -206,13 +209,17 @@ def _noise_sum(terms):
     return total
 
 
+def _quotient_sides(text: str) -> list[tuple[Mean, ...]]:
+    # "Z-Y / X-W" as the entries of its two sides; Y or W may be left out
+    return [tuple(_entry(symbol) for symbol in side.strip().split("-")) for side in text.split("/")]
+
+
 def _quotient_kernels(text: str) -> tuple:
     # "Z-Y / X-W" as the kernels (Z, Y, X, W), with None for a Y or W left
     # out, and the distinct means among them, the terms of R's noise sum.  R
     # carries cancellation noise of order (Z + Y + X + W)/|X - W| ulp; CH is
     # computed without cancellation, so it adds none.
-    num, den = ((*side.strip().split("-"), None)[:2] for side in text.split("/"))
-    kernels = tuple(map(_kernel, num + den))
+    kernels = tuple(m.kernel if m else None for side in _quotient_sides(text) for m in (*side, None)[:2])
     return kernels, tuple(k for k in dict.fromkeys(kernels) if k not in (None, ch_difference))
 
 
@@ -295,7 +302,7 @@ def _window(kernels, means, p, q):
 
 def _kernels(text: str) -> tuple:
     # the kernels of space-separated symbols, in margin order
-    return tuple(map(_kernel, text.split()))
+    return tuple(_entry(symbol).kernel for symbol in text.split())
 
 
 class _Form(NamedTuple):
@@ -324,52 +331,78 @@ class RecordSpec(NamedTuple):
     ``means`` lists the symbols, space-separated, in the order the form
     takes them; a ``difference-ratio`` spec writes its quotient instead:
     ``"Z-Y / X-W"``, ``"Z-Y / CH"`` or ``"Z / CH"``.  Each side is ``None``
-    when it carries no constant, a ``(tighten, endpoint)`` pair when its
-    bound is the sharp constant ``{id}.lower`` or ``{id}.upper`` (see
-    :class:`ProbeSpec`), or a plain float for a fixed bound not claimed sharp.
+    when it carries no constant, a plain float for a fixed bound not claimed
+    sharp, or the endpoint where its sharp constant ``{id}.lower`` or
+    ``{id}.upper`` is attained: ``"near"`` (a = b) or ``"far"`` (a/b → ∞),
+    from which ``_side`` derives the constant and its probe.
     """
 
     id: str
     form: str
     means: str
-    lower: tuple[float, str] | float | None = None
-    upper: tuple[float, str] | float | None = None
+    lower: str | float | None = None
+    upper: str | float | None = None
 
 
 SPECS = (
-    RecordSpec("neuman-QA", "difference-ratio", "M-A / Q-A", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("neuman-CA", "difference-ratio", "M-A / C-A", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("zhao-HQ", "difference-ratio", "M-Q / H-Q", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("zhao-GQ", "difference-ratio", "M-Q / G-Q", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("zhao-HC", "difference-ratio", "M-C / H-C", (-1.0, "far"), (+1.0, "near")),
-    RecordSpec("identric-IQ", "difference-ratio", "M-Q / I-Q", (-1.0, "near"), (+1.0, "far")),
-    RecordSpec("thm3.1", "difference-ratio", "M-C / CH", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("thm3.2", "difference-ratio", "M / CH", (+1.0, "far")),
-    RecordSpec("thm3.3", "difference-ratio", "Cbar-M / Q-M", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("thm3.4", "difference-ratio", "Q-M / C-M", (+1.0, "far"), (-1.0, "near")),
-    RecordSpec("cor3.1", "difference-ratio", "C-M / CH", (+1.0, "near"), (-1.0, "far")),
-    RecordSpec("cor3.2", "difference-ratio", "Cbar-M / CH", (+1.0, "near"), (-1.0, "far")),
+    RecordSpec("neuman-QA", "difference-ratio", "M-A / Q-A", "far", "near"),
+    RecordSpec("neuman-CA", "difference-ratio", "M-A / C-A", "far", "near"),
+    RecordSpec("zhao-HQ", "difference-ratio", "M-Q / H-Q", "near", "far"),
+    RecordSpec("zhao-GQ", "difference-ratio", "M-Q / G-Q", "near", "far"),
+    RecordSpec("zhao-HC", "difference-ratio", "M-C / H-C", "far", "near"),
+    RecordSpec("identric-IQ", "difference-ratio", "M-Q / I-Q", "near", "far"),
+    RecordSpec("thm3.1", "difference-ratio", "M-C / CH", "far", "near"),
+    RecordSpec("thm3.2", "difference-ratio", "M / CH", "far"),
+    RecordSpec("thm3.3", "difference-ratio", "Cbar-M / Q-M", "near", "far"),
+    RecordSpec("thm3.4", "difference-ratio", "Q-M / C-M", "far", "near"),
+    RecordSpec("cor3.1", "difference-ratio", "C-M / CH", "near", "far"),
+    RecordSpec("cor3.2", "difference-ratio", "Cbar-M / CH", "near", "far"),
     RecordSpec("chain", "chain", "G L P A M T Q"),
-    RecordSpec("lp0-l2", "exponent-window", "M", (+1.0, "far"), 2.0),
+    RecordSpec("lp0-l2", "exponent-window", "M", "far", 2.0),
     RecordSpec("amt", "difference-ratio", "M-A / T-A", 0.0, 1.0),
     RecordSpec("product", "product-bound", "A M T"),
     RecordSpec("kyfan", "ky-fan-chain", "G L P A M T"),
 )
 
 
+def _entry(symbol: str) -> Mean:
+    # a mean of MEANS, or CH = 2A·t² exactly: a t² term of 2, no t⁰ term, and φ(1) = 2
+    return MEANS[symbol] if symbol != "CH" else Mean("CH", (), ch_difference, Fraction(2), "2")
+
+
+def _near(side: tuple[Mean, ...]) -> Fraction:
+    # the t² term over A of a side that vanishes at a = b, CH or Z - Y; a lone mean Z does not
+    if len(side) == 1 and side[0].label != "CH":
+        raise ParameterError("a lone mean does not vanish at a = b")
+    return side[0].near - (side[1].near if len(side) == 2 else 0)
+
+
 def _side(spec: RecordSpec, side: str):
-    """(constant, bound, probe) of one side of a spec."""
-    given = getattr(spec, side)
-    if given is None:
-        return None, None, None
-    if isinstance(given, tuple):
-        const = constant(f"{spec.id}.{side}")
-        return const, const.float_value, ProbeSpec(side, *given)
-    return None, float(given), None
-
-
-def _kernel(symbol: str | None) -> Callable | None:
-    return None if symbol is None else ch_difference if symbol == "CH" else MEANS[symbol].kernel
+    """(constant, bound, probe) of one side of a spec.  A sharp constant is
+    the limit of R = (Z - Y)/(X - W) at its endpoint: the ratio of the sides'
+    t² terms at a = b, or of their φ(1) at a/b → ∞; a lower bound tightens by
+    the sign of X - W's t² term, an upper one against it.  ParameterError
+    names the record where these first-order ends leave either undecided."""
+    endpoint, name = getattr(spec, side), f"{spec.id}.{side}"
+    if endpoint not in ("near", "far"):
+        return None, None if endpoint is None else float(endpoint), None
+    try:
+        if spec.form == "exponent-window":  # p0, where L_p's φ(1) meets M's; it tightens up
+            if (spec.means, endpoint) != ("M", "far"):
+                raise ParameterError("only the far order of L_p < M is derived")
+            text, sign = "p0", Fraction(1)
+        else:
+            num, den = _quotient_sides(spec.means)
+            sign = _near(den)
+            if endpoint == "near":
+                text = str(_near(num) / sign)
+            else:  # the sides' φ(1), term by term, a two-term side in parentheses
+                text = "/".join(f"({s[0].far} - {s[1].far})" if len(s) == 2 else s[0].far for s in (num, den))
+        const = _sharp_constant(name, text)
+        tighten = float(sign / abs(sign)) * (1.0 if side == "lower" else -1.0)  # 0 has no sign: raises
+    except (ParameterError, ZeroDivisionError) as exc:
+        raise ParameterError(f"{name}: the first-order ends leave its {endpoint} constant undecided: {exc}") from None
+    return const, const.float_value, ProbeSpec(side, tighten, endpoint)
 
 
 def build_record(spec: RecordSpec) -> InequalityRecord:
@@ -404,6 +437,21 @@ def build_record(spec: RecordSpec) -> InequalityRecord:
 def catalog() -> tuple[InequalityRecord, ...]:
     """All inequality records, in a stable order."""
     return tuple(build_record(spec) for spec in SPECS)
+
+
+@lru_cache(maxsize=1)
+def sharp_constants() -> tuple[SharpConstant, ...]:
+    """All sharp constants of the catalog, in the order they are listed."""
+    attached = {c.name: c for rec in catalog() for c in (rec.lower, rec.upper) if c is not None}
+    return tuple(attached[name] for name in _TABLE)
+
+
+def constant(name: str) -> SharpConstant:
+    """Look up a sharp constant by its catalog name."""
+    for c in sharp_constants():
+        if c.name == name:
+            return c
+    raise ParameterError(f"unknown sharp constant {name!r}")
 
 
 def record(record_id: str) -> InequalityRecord:
@@ -457,12 +505,6 @@ class Margins:
         return "fail" not in (self.lower_state, self.upper_state)
 
 
-def _check_domain(rec: InequalityRecord, a: float, b: float) -> None:
-    domain = _FORMS[rec.form].domain
-    if domain is not None and not (domain[0] < a < domain[1] and domain[0] < b < domain[1]):
-        raise NotApplicableError(f"{rec.id}: {rec.domain_note}")
-
-
 def verify(rec, pair: PositivePair) -> Margins:
     """Margins of one record on one pair.
 
@@ -479,7 +521,9 @@ def verify(rec, pair: PositivePair) -> Margins:
     rec = _resolve(rec)
     if pair.degenerate:
         raise DegeneratePairError(f"{rec.id}: equal arguments have zero margins")
-    _check_domain(rec, pair.a, pair.b)
+    domain = _FORMS[rec.form].domain
+    if domain is not None and not (domain[0] < pair.a < domain[1] and domain[0] < pair.b < domain[1]):
+        raise NotApplicableError(f"{rec.id}: {rec.domain_note}")
     sample = rec.margin_fn(pair.a, pair.b, None, None)
     lower, lower_state = _verdict(sample.lower, sample.lower_scale)
     upper, upper_state = _verdict(sample.upper, sample.upper_scale)
@@ -577,15 +621,8 @@ class _Fold:
         for side, (_, margin, witness) in self.least.items():
             sides[f"min_{side}_margin"] = margin
             sides[f"{side}_witness"] = witness
-        return VerificationReport(
-            self.rec.id,
-            count,
-            seed,
-            failures=self.failures,
-            indeterminate=self.indeterminate,
-            passed=self.failures == 0,
-            **sides,
-        )
+        return VerificationReport(self.rec.id, count, seed, failures=self.failures,
+                                  indeterminate=self.indeterminate, passed=self.failures == 0, **sides)
 
 
 def verify_all(records, count: int, seed: int) -> tuple[VerificationReport, ...]:

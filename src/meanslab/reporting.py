@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 import mpmath as mp
 
@@ -41,14 +42,7 @@ _compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).enco
 
 
 def _row(row_id, kind, inputs, values, margins, passed):
-    return {
-        "id": row_id,
-        "kind": kind,
-        "inputs": inputs,
-        "values": values,
-        "margins": margins,
-        "pass": passed,
-    }
+    return dict(zip(ROW_FIELDS, (row_id, kind, inputs, values, margins, passed)))
 
 
 def eval_row(label: str, a: float, b: float, value: float) -> dict:
@@ -208,6 +202,4 @@ def emit(text: str, output_path: str | None) -> None:
         with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        import sys
-
         sys.stdout.write(text)

@@ -11,7 +11,6 @@ import sys
 import threading
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
@@ -48,9 +47,11 @@ from meanslab.records import (
     RecordSpec,
     VerificationReport,
     _judge,
+    _entry,
     _Means,
     _minimum,
     _pair_means,
+    _side,
     _sign,
     build_record,
 )
@@ -675,7 +676,7 @@ def test_quotient_margins_match_the_oracle_quotient(spec):
     for side in ("lower", "upper"):
         given = getattr(spec, side)
         if given is not None:
-            bounds[side] = constants[f"{spec.id}.{side}"] if isinstance(given, tuple) else given
+            bounds[side] = constants[f"{spec.id}.{side}"] if given in ("near", "far") else given
     rec = record(spec.id)
     for a, b in PAIRS:
         with mp.workdps(hp_oracles.DPS):
@@ -698,6 +699,8 @@ def test_quotient_denominator_keeps_one_sign(spec):
     den = _difference(spec.means.split("/")[1], kernels, ch_difference, ratio * b, b)
     expected = -1.0 if spec.id in NEGATIVE_DENOMINATORS else 1.0
     assert np.all(np.sign(den) == expected)
+    # tightening raises a lower bound on R where X - W > 0 and lowers it where X - W < 0
+    assert all(p.tighten == (expected if p.side == "lower" else -expected) for p in record(spec.id).probes)
 
 
 def test_identities_between_records_in_the_quotient_unit():
@@ -721,55 +724,63 @@ def test_identities_between_records_in_the_quotient_unit():
         assert float(c32.upper) == pytest.approx(float(t31.lower), rel=1e-11, abs=0.0), pair
 
 
-# Every mean is A·φ(t) with t = |a - b|/(a + b).  Near a/b → 1 each is
-# A·(1 + d·t² + O(t⁴)) and CH is A·2t²; far, at a/b → ∞, t → 1 and φ(1),
-# in the constants' grammar, is the limit.
-D_NEAR = {"A": Fraction(0), "G": Fraction(-1, 2), "H": Fraction(-1), "Cbar": Fraction(1, 3),
-          "C": Fraction(1), "Q": Fraction(1, 2), "M": Fraction(1, 6), "I": Fraction(-1, 6)}
-PHI_FAR = {"A": "1", "G": "0", "H": "0", "C": "2", "Cbar": "4/3", "Q": "sqrt(2)",
-           "M": "1/ln(1+sqrt(2))", "I": "2/e", "CH": "2"}
+# Every mean is A·φ(t) with t = |a - b|/(a + b).  Near a = b each is
+# A·(1 + d·t² + O(t⁴)), with d its ``near``, and CH is A·2t²; far, at
+# a/b → ∞, t → 1 and its ``far`` text is the limit φ(1).
+@pytest.mark.parametrize("symbol", [*MEANS, "CH"])
+def test_each_mean_s_two_ends_are_its_oracle_s_limits(symbol):
+    entry = _entry(symbol)
+    oracle = hp_oracles.ch_diff if symbol == "CH" else hp_oracles.MEANS[symbol]
+    with mp.workdps(hp_oracles.DPS):
+        tiny = mp.mpf("1e-10")
+        a, b = 1 + tiny, 1 - tiny
+        mean, t = (a + b) / 2, (a - b) / (a + b)
+        d = (oracle(a, b) / mean - (0 if symbol == "CH" else 1)) / t**2
+        assert abs(d - mp.mpf(entry.near.numerator) / entry.near.denominator) < mp.mpf("1e-15"), symbol
+        a, b = mp.mpf(10) ** 60, mp.mpf(1)
+        mean, t = (a + b) / 2, (a - b) / (a + b)
+        # L/A = 2t/ln(a/b) reaches its limit 0 only logarithmically; the others are within 1e-29
+        slow = 2 * t / mp.log(a / b) if symbol == "L" else 0
+        assert abs(oracle(a, b) / mean - slow - expr_value(entry.far)) < mp.mpf("1e-25"), symbol
 
 
-def _near_terms(text):
-    # "Z-Y", "Z" or "CH" as (its t⁰ coefficient, its t² coefficient) over A
-    terms = [(0, Fraction(2)) if s == "CH" else (1, D_NEAR[s]) for s in text.strip().split("-")]
-    if len(terms) == 1:
-        return terms[0]
-    (z0, z2), (y0, y2) = terms
-    return z0 - y0, z2 - y2
-
-
-def _far_value(text):
-    terms = [expr_value(PHI_FAR[s]) for s in text.strip().split("-")]
-    return terms[0] - terms[1] if len(terms) == 2 else terms[0]
+def _oracle_quotient(spec, a, b):
+    num, den = (_difference(part, hp_oracles.MEANS, hp_oracles.ch_diff, a, b) for part in spec.means.split("/"))
+    return num / den
 
 
 def test_sharp_quotient_constants_are_the_limits_of_their_records():
-    # R = (Z - Y)/(X - W) tends to each sharp constant at the end its probe
-    # names and not at the other; R(0⁺) is exact, so a near-end constant's
-    # text is the Fraction's
+    # R = (Z - Y)/(X - W), from the oracles, tends to each sharp constant at
+    # the end its spec names (a/b = 1 + 2e-10 and 1e60 here) and not at the other
     checked = 0
     for spec in QUOTIENT_RECORDS:
-        sharp = [(side, given[1]) for side, given in (("lower", spec.lower), ("upper", spec.upper))
-                 if isinstance(given, tuple)]
-        if not sharp:  # amt: fixed bounds, and T has no entry above
-            continue
-        num_text, den_text = spec.means.split("/")
-        (num0, num2), (den0, den2) = _near_terms(num_text), _near_terms(den_text)
-        assert den0 == 0 and den2 != 0, spec.id
-        near = num2 / den2 if num0 == 0 else None  # "Z / CH" grows without bound near a = b
-        with mp.workdps(40):
-            limits = {"near": None if near is None else mp.mpf(near.numerator) / near.denominator,
-                      "far": _far_value(num_text) / _far_value(den_text)}
-            for side, endpoint in sharp:
+        with mp.workdps(hp_oracles.DPS):
+            tiny = mp.mpf("1e-10")
+            limits = {"near": _oracle_quotient(spec, 1 + tiny, 1 - tiny),
+                      "far": _oracle_quotient(spec, mp.mpf(10) ** 60, mp.mpf(1))}
+            for side in ("lower", "upper"):
+                endpoint = getattr(spec, side)
+                if endpoint not in ("near", "far"):  # amt: fixed bounds
+                    continue
                 const = constant(f"{spec.id}.{side}")
                 other = "far" if endpoint == "near" else "near"
-                assert abs(limits[endpoint] - const.value) < mp.mpf("1e-35"), const.name
-                assert limits[other] is None or abs(limits[other] - const.value) > mp.mpf("1e-35"), const.name
-                if endpoint == "near":
-                    assert const.exact_expr == str(near), const.name
+                assert abs(limits[endpoint] - const.value) < mp.mpf("1e-15"), const.name
+                assert abs(limits[other] - const.value) > mp.mpf("1e-3"), const.name
                 checked += 1
     assert checked == 23
+
+
+@pytest.mark.parametrize("form,means,endpoint", [
+    ("difference-ratio", "M-A / T-Cbar", "near"),  # d_T = d_Cbar = 1/3: T - Cbar has no t² term
+    ("difference-ratio", "M-A / G-H", "far"),  # φ_G(1) = φ_H(1) = 0
+    ("difference-ratio", "M / CH", "near"),  # M/CH grows without bound at a = b
+    ("exponent-window", "M", "near"),  # p0 is the far order of L_p < M only
+    ("exponent-window", "Q", "far"),
+])
+def test_ends_that_leave_a_constant_undecided_are_refused(form, means, endpoint):
+    spec = RecordSpec("made-up", form, means, endpoint)
+    with pytest.raises(ParameterError, match=f"made-up.lower: .* {endpoint} constant"):
+        _side(spec, "lower")
 
 
 def test_the_critical_exponent_is_the_far_end_root_of_its_record():

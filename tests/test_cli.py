@@ -65,7 +65,7 @@ def test_constants_output(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 24
     assert any("0.567296" in line for line in lines)
-    assert any(line.startswith("thm3.1.lower = 1/(2*ln(1+sqrt(2))) - 1 = -0.432703") for line in lines)
+    assert any(line.startswith("thm3.1.lower = (1/ln(1+sqrt(2)) - 2)/2 = -0.432703") for line in lines)
 
 
 def test_p0_output(capsys):
@@ -178,9 +178,9 @@ def test_machine_output_is_byte_identical_across_runs(capsys):
 # (command, format) -> (exit code, sha256 of the output) of every
 # deterministic command; a change must name the bytes it moves
 COMMAND_SHA256 = {
-    ("constants", "human"): (0, "8ade50ce79ff62b1bf846cee87655b739330716b5fae11635088b537d55acfad"),
-    ("constants", "json-lines"): (0, "842e92d6ea6e47083005f489170deb8eef1a4e1773120b64b78c5af4f1d14057"),
-    ("constants", "csv"): (0, "42e7e66394cb2ea63fea0e9370f8774a055f2364f12d91b0013f3c1e8eb172bc"),
+    ("constants", "human"): (0, "e5ea3565d580894008a3dcfe2b3dee1fec1b0094282e4d4b9160aaa36c090543"),
+    ("constants", "json-lines"): (0, "8d827ae28c657d3f9837cdd52ccaa0fdeb741941daa0533e8ebfc8dfca640a95"),
+    ("constants", "csv"): (0, "c1429e36a046b667b60ad210e713a71b8f911da1a80b1573239239d0a617dfe6"),
     ("p0", "human"): (0, "43962fad6f8d67482a8088ed558c95cff44ea3f594c0b69594189122a337f9c8"),
     ("p0", "json-lines"): (0, "e05ce1b32a3d9345eda6635530eef8874ded9fc9c67369314a03fe2ef9e34162"),
     ("p0", "csv"): (0, "57108089205559379fd64dde8dfc604e715f2f8ce0e942f0fc7e1fbe5cc01438"),

@@ -1,4 +1,6 @@
-"""The sharp-constant table: values, expression text, and lookups."""
+"""The sharp constants: values, derived expression text, the grammar, and lookups."""
+
+import re
 
 import mpmath as mp
 import pytest
@@ -35,6 +37,35 @@ PREFIXES = {
 }
 
 
+# The forms the constants are printed in by the paper and its sources; each
+# derived text must have the same value
+PAPER_FORMS = {
+    "thm3.1.lower": "1/(2*ln(1+sqrt(2))) - 1",
+    "thm3.1.upper": "-5/12",
+    "cor3.1.lower": "5/12",
+    "cor3.1.upper": "1 - 1/(2*ln(1+sqrt(2)))",
+    "cor3.2.lower": "1/12",
+    "cor3.2.upper": "2/3 - 1/(2*ln(1+sqrt(2)))",
+    "thm3.2.lower": "1/(2*ln(1+sqrt(2)))",
+    "thm3.3.lower": "1/2",
+    "thm3.3.upper": "(3 - 4*ln(1+sqrt(2)))/(3*(1 - sqrt(2)*ln(1+sqrt(2))))",
+    "thm3.4.lower": "(sqrt(2)*ln(1+sqrt(2)) - 1)/(2*ln(1+sqrt(2)) - 1)",
+    "thm3.4.upper": "2/5",
+    "neuman-QA.lower": "(1 - ln(1+sqrt(2)))/((sqrt(2) - 1)*ln(1+sqrt(2)))",
+    "neuman-QA.upper": "1/3",
+    "neuman-CA.lower": "(1 - ln(1+sqrt(2)))/ln(1+sqrt(2))",
+    "neuman-CA.upper": "1/6",
+    "zhao-HQ.lower": "2/9",
+    "zhao-HQ.upper": "1 - 1/(sqrt(2)*ln(1+sqrt(2)))",
+    "zhao-GQ.lower": "1/3",
+    "zhao-GQ.upper": "1 - 1/(sqrt(2)*ln(1+sqrt(2)))",
+    "zhao-HC.lower": "1 - 1/(2*ln(1+sqrt(2)))",
+    "zhao-HC.upper": "5/12",
+    "identric-IQ.lower": "1/2",
+    "identric-IQ.upper": "e*(sqrt(2)*ln(1+sqrt(2)) - 1)/((sqrt(2)*e - 2)*ln(1+sqrt(2)))",
+}
+
+
 def test_table_is_complete():
     names = [c.name for c in sharp_constants()]
     assert len(names) == len(set(names)) == len(PREFIXES)
@@ -55,13 +86,24 @@ def test_values_match_independent_expressions():
 
 
 def test_expression_text_is_exact_arithmetic_notation():
+    # a near-end constant is a Fraction's text; a far-end one is the quotient
+    # of the sides' φ(1), term by term
     texts = {c.name: c.exact_expr for c in sharp_constants()}
-    assert texts["thm3.1.lower"] == "1/(2*ln(1+sqrt(2))) - 1"
+    assert texts["thm3.1.lower"] == "(1/ln(1+sqrt(2)) - 2)/2"
     assert texts["thm3.1.upper"] == "-5/12"
-    assert texts["cor3.2.upper"] == "2/3 - 1/(2*ln(1+sqrt(2)))"
-    assert texts["thm3.2.lower"] == "1/(2*ln(1+sqrt(2)))"
-    assert texts["zhao-HQ.upper"] == "1 - 1/(sqrt(2)*ln(1+sqrt(2)))"
+    assert texts["cor3.2.upper"] == "(4/3 - 1/ln(1+sqrt(2)))/2"
+    assert texts["thm3.2.lower"] == "1/ln(1+sqrt(2))/2"
+    assert texts["zhao-HQ.upper"] == "(1/ln(1+sqrt(2)) - sqrt(2))/(0 - sqrt(2))"
+    assert texts["identric-IQ.upper"] == "(1/ln(1+sqrt(2)) - sqrt(2))/(2/e - sqrt(2))"
     assert texts["lp0-l2.lower"] == "p0"
+
+
+def test_derived_texts_have_the_values_of_the_paper_s_forms():
+    derived = {c.name: c.exact_expr for c in sharp_constants()}
+    assert set(derived) == {*PAPER_FORMS, "lp0-l2.lower"}
+    with mp.workdps(50):
+        for name, text in PAPER_FORMS.items():
+            assert abs(expr_value(derived[name]) - expr_value(text)) < mp.mpf("1e-45"), name
 
 
 def test_every_constant_has_context_and_text():
@@ -77,10 +119,20 @@ def test_value_is_the_value_of_the_stored_text():
             assert expr_value(c.exact_expr) == c.value, c.name
 
 
-@pytest.mark.parametrize("text", ["__import__('os')", "2**3", "x", "sqrt(2, 3)", "1.5", "1/"])
+@pytest.mark.parametrize("text", [
+    "__import__('os')", "2**3", "x", "sqrt(2, 3)", "1.5", "1/", "pi(1)", "PI",
+    # a value that is not a finite real
+    "1/0", "0/0", "ln(0)", "sqrt(-1)", "ln(-1)",
+])
 def test_expr_value_rejects_text_outside_the_grammar(text):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=re.escape(repr(text))):
         expr_value(text)
+
+
+def test_pi_is_in_the_grammar():
+    with mp.workdps(40):
+        assert expr_value("4/pi") == 4 / mp.pi
+        assert mp.nstr(expr_value("4/pi"), 40) == "1.273239544735162686151070106980114896276"
 
 
 def test_p0_constant_definition_and_value():
