@@ -473,21 +473,22 @@ def _resolve(rec) -> InequalityRecord:
 _SIDES = ("lower", "upper")
 
 
-def _judge(margins, scales):
+def _threshold(scales):
+    # the noise threshold of margins with these scales, which _judge compares them with
+    return _NOISE * scales
+
+
+def _judge(margins, scales, *, threshold=None, negative=True):
     """Masks of the margins that certify a failure and of those that certify
-    a pass; a margin within the noise threshold is in neither (scales are not
-    negative, so a failure is a negative margin).  Takes arrays, or one
-    pair's floats, for which the masks are two bools."""
-    threshold = _NOISE * scales
-    return margins < -threshold, margins > threshold
-
-
-def _judged(sample: MarginSample):
-    """``(side, margin, failed, passed)`` for each side the sample claims."""
-    for side in _SIDES:
-        margin = getattr(sample, side)
-        if margin is not None:
-            yield (side, margin, *_judge(margin, getattr(sample, f"{side}_scale")))
+    a pass; a margin within the noise threshold is in neither.  Scales are
+    not negative, so neither is a threshold, and only a negative margin can
+    fail: a caller that knows none of its margins is negative passes
+    ``negative=False`` and gets ``None`` for the failures, and one that has
+    formed the scales' ``_threshold`` already passes it.  Takes arrays, or
+    one pair's floats, for which the masks are two bools."""
+    if threshold is None:
+        threshold = _threshold(scales)
+    return margins < -threshold if negative else None, margins > threshold
 
 
 @dataclass(frozen=True)
@@ -557,18 +558,18 @@ class VerificationReport:
 # Pairs per block of verify_all's walk, where one lookup holds every mean of
 # the block for all the records, and pairs per page of the seeded draw, which
 # is walked in blocks, so the draw's memory does not grow with the sample
-# count.  verify-all at 1e6 samples (seed 1), 7 passes in one process, two
-# processes each, on a shared 2-core Xeon: peak RSS, the median pass and
-# minor faults per pass.
+# count.  verify_all of the catalog at 1e6 samples (seed 1), 7 passes in one
+# process, two processes each, on a shared 2-core Xeon: peak RSS, the median
+# pass and minor faults per pass, with each side of a block judged in about
+# three passes.  The pass times spread by up to a third between processes.
 #   block  page
-#   2^12   2^16   42.8-42.9 MB   0.57-0.59 s    3.9k
-#   2^13   2^16   43.8-44.2 MB   0.48-0.49 s    6.5-7.7k
-#   2^14   2^16   46.1-46.2 MB   0.46-0.47 s   11.5k
-#   2^13   2^15   43.0 MB        0.49-0.50 s   10.8k
-#   2^13   2^17   45.7 MB        0.48-0.51 s    5.1k
-# With one kernel call per mean, 2^14-pair blocks and 2^17-pair pages drawn
-# through temporaries, the same runs took 48.1-48.2 MB, 0.54-0.57 s and 13.0k.
-# Each block's pair table lives as long as its lookup.
+#   2^12   2^16   41.8 MB        0.52-0.70 s    3.8k
+#   2^13   2^16   42.6-42.7 MB   0.46 s         4.9k
+#   2^14   2^16   44.7 MB        0.44-0.48 s    8.2k
+#   2^13   2^15   41.7-41.8 MB   0.42-0.44 s    2.5k
+#   2^13   2^17   44.7-44.8 MB   0.42-0.46 s    4.9k
+# Judged in about eight passes a side, the 2^13/2^16 row read 42.8-42.9 MB,
+# 0.48-0.50 s and 6.2k.  Each block's pair table lives as long as its lookup.
 _FOLD_BLOCK = 1 << 13
 _PAGE = 8 * _FOLD_BLOCK
 
@@ -595,7 +596,12 @@ def _pages(domain: tuple[float, float] | None, count: int, seed: int):
 
 
 class _Fold:
-    """One record's margins, folded block by block over a sample."""
+    """One record's margins, folded block by block over a sample.  A side of
+    a block takes about three passes: its least margin (the witness), its
+    pass mask, and that mask folded into the pairs decided on every side.
+    A threshold is formed once per scale array, which a quotient's sides
+    share, and failures are counted only on a side whose least margin is
+    negative, since no other can fail."""
 
     def __init__(self, rec: InequalityRecord):
         self.rec = rec
@@ -603,8 +609,15 @@ class _Fold:
         self.failures = self.indeterminate = 0
 
     def add(self, means: _Means) -> None:
-        decided = True
-        for side, m, fail, ok in _judged(self.rec.means_fn(means, None, None)):
+        sample = self.rec.means_fn(means, None, None)
+        decided = scale = None
+        for side in _SIDES:
+            m = getattr(sample, side)
+            if m is None:
+                continue
+            if getattr(sample, f"{side}_scale") is not scale:  # a quotient's two sides share one
+                scale = getattr(sample, f"{side}_scale")
+                threshold = _threshold(scale)
             i = int(m.argmin())
             if math.isnan(m[i]):  # argmin stops at the first NaN; rank NaN as +inf
                 i = int(np.where(np.isnan(m), np.inf, m).argmin())
@@ -612,8 +625,11 @@ class _Fold:
             # strict: on a tie the earlier block keeps its witness, as argmin does
             if side not in self.least or rank < self.least[side][0]:
                 self.least[side] = (rank, float(m[i]), (float(means.a[i]), float(means.b[i])))
-            self.failures += int(np.count_nonzero(fail))
-            decided = decided & (fail | ok)
+            fail, ok = _judge(m, scale, threshold=threshold, negative=rank < 0.0)
+            if fail is not None:
+                self.failures += int(np.count_nonzero(fail))
+                ok |= fail
+            decided = ok if decided is None else np.logical_and(decided, ok, out=decided)
         self.indeterminate += decided.size - int(np.count_nonzero(decided))
 
     def report(self, count: int, seed: int) -> VerificationReport:
@@ -712,7 +728,8 @@ def sharpness_probe(rec, epsilon: float = 1e-6) -> tuple[ProbeResult, ...]:
         distinct = ratios > 1.0
         ratios, k = ratios[distinct], steps[distinct]
         sample = rec.margins(ratios, np.ones_like(ratios), **{f"{spec.side}_c": tightened})
-        m, fail = next((m, fail) for side, m, fail, _ in _judged(sample) if side == spec.side)
+        m = getattr(sample, spec.side)
+        fail, _ = _judge(m, getattr(sample, f"{spec.side}_scale"))
         hit = int(fail.argmax()) if fail.any() else None
         results.append(
             ProbeResult(

@@ -38,6 +38,11 @@ class SeriesId(enum.Enum):
     H3 = "H3"
 
 
+def _x(n: int) -> int:
+    # X = 4^n, as a shift: each closed form below is a polynomial in n and X
+    return 1 << 2 * n
+
+
 # ---- H1: (sinh θ - θ) / (2θ sinh²θ); both sides carry a common θ³ factor
 
 
@@ -46,22 +51,22 @@ def _h1_num(n: int) -> int:
 
 
 def _h1_den(n: int) -> int:
-    return (2 * n + 3) * 4 ** (n + 1)
+    return 4 * (2 * n + 3) * _x(n)
 
 
 def _h1_ratio(n: int) -> Fraction:
-    return Fraction(1, (2 * n + 3) * 2 ** (2 * n + 2))
+    return Fraction(1, 4 * (2 * n + 3) * _x(n))
 
 
 def _h1_diff(n: int) -> Fraction:
-    return Fraction(-(6 * n + 17), (2 * n + 3) * (2 * n + 5) * 2 ** (2 * n + 4))
+    return Fraction(-(6 * n + 17), 16 * (2 * n + 3) * (2 * n + 5) * _x(n))
 
 
 # ---- H2: (1 - sinhθ/θ + sinh²θ/3) / (cosh θ - sinhθ/θ); common factor θ²
 
 
 def _h2_num(n: int) -> Fraction:
-    return Fraction((2 * n + 3) * 4 ** (n + 1) - 6, 6)
+    return Fraction(4 * (2 * n + 3) * _x(n) - 6, 6)
 
 
 def _h2_den(n: int) -> int:
@@ -69,12 +74,11 @@ def _h2_den(n: int) -> int:
 
 
 def _h2_ratio(n: int) -> Fraction:
-    return Fraction((2 * n + 3) * 2 ** (2 * n + 1) - 3, 6 * (n + 1))
+    return Fraction(2 * (2 * n + 3) * _x(n) - 3, 6 * (n + 1))
 
 
 def _h2_diff(n: int) -> Fraction:
-    num = 3 + 7 * 2 ** (2 * n + 2) + 21 * n * 2 ** (2 * n + 1) + 3 * n * n * 2 ** (2 * n + 2)
-    return Fraction(num, 6 * (n + 1) * (n + 2))
+    return Fraction(3 + (12 * n * n + 42 * n + 28) * _x(n), 6 * (n + 1) * (n + 2))
 
 
 # ---- H3: (cosh θ - sinhθ/θ) / (1 + sinh²θ - sinhθ/θ); common factor θ²
@@ -82,19 +86,16 @@ def _h2_diff(n: int) -> Fraction:
 
 
 def _h3_den(n: int) -> int:
-    return (2 * n + 3) * 2 ** (2 * n + 1) - 1
+    return 2 * (2 * n + 3) * _x(n) - 1
 
 
 def _h3_ratio(n: int) -> Fraction:
-    return Fraction(2 * n + 2, (2 * n + 3) * 2 ** (2 * n + 1) - 1)
+    return Fraction(2 * n + 2, 2 * (2 * n + 3) * _x(n) - 1)
 
 
 def _h3_diff(n: int) -> Fraction:
-    num = 1 + 7 * 2 ** (2 * n + 2) + 21 * n * 2 ** (2 * n + 1) + 3 * n * n * 2 ** (2 * n + 2)
-    den = (3 * 2 ** (2 * n + 1) + n * 2 ** (2 * n + 2) - 1) * (
-        5 * 2 ** (2 * n + 3) + n * 2 ** (2 * n + 4) - 1
-    )
-    return Fraction(-2 * num, den)
+    x = _x(n)
+    return Fraction(-2 * (1 + (12 * n * n + 42 * n + 28) * x), ((4 * n + 6) * x - 1) * ((16 * n + 40) * x - 1))
 
 
 @dataclass(frozen=True)

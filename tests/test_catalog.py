@@ -299,15 +299,33 @@ def _whole_array_report(rec, count, seed):
                               indeterminate=int(indeterminate.sum()), passed=failures == 0, **sides)
 
 
-def _made_up(rec_id, margin):
-    # a record whose lower margin is margin(a, b), with noise scale 1
+def _made_up(rec_id, margin, scale=None, upper=None, upper_scale=None):
+    # a record whose margins are margin(a, b) and upper(a, b) (None: no upper
+    # side), with noise scales scale(a, b) (None: 1); the upper side shares
+    # the lower side's scale array unless it has an upper_scale of its own
     def margin_fn(a, b, lo_c, up_c):
-        m = margin(np.asarray(a), np.asarray(b))
-        return MarginSample(m, None, np.ones_like(m), None)
+        a, b = np.asarray(a), np.asarray(b)
+        m = margin(a, b)
+        s = np.ones_like(m) if scale is None else scale(a, b)
+        if upper is None:
+            return MarginSample(m, None, s, None)
+        return MarginSample(m, upper(a, b), s, s if upper_scale is None else upper_scale(a, b))
 
     return InequalityRecord(rec_id, "chain", None, None,
                             margin_fn=margin_fn,
                             means_fn=lambda means, lo_c, up_c: margin_fn(means.a, means.b, lo_c, up_c))
+
+
+NOISE = 100 * np.finfo(np.float64).eps * 16  # the threshold of a margin with noise scale 1
+
+
+def _by_decade(*values):
+    # (a, b) -> the value listed for the decade of a/b, the last one past the list
+    def pick(a, b):
+        decade = np.clip(np.floor(np.log10(a / b)), 0, len(values) - 1).astype(int)
+        return np.choose(decade, values)
+
+    return pick
 
 
 MADE_UP = (
@@ -318,6 +336,24 @@ MADE_UP = (
     # NaN ranks as +inf: NaN below a/b = 1e4, tied decades above it
     _made_up("nan-decades", lambda a, b: np.where(a < 1e4 * b, np.nan, np.floor(np.log10(a / b)))),
     _made_up("all-nan", lambda a, b: np.full_like(a, np.nan)),
+    # the least margin is negative but inside the noise: no failure, and
+    # those pairs are indeterminate
+    _made_up("inside-noise", _by_decade(-NOISE / 4, 1.0)),
+    # failures, passes and indeterminate pairs in one block; the least margin
+    # is inside its own (large) noise, and a smaller one is a failure
+    _made_up("hidden-failure", _by_decade(-500 * NOISE, -NOISE / 100, NOISE / 4, 1.0),
+             _by_decade(1e3, 1e-3, 1.0)),
+    # +inf and NaN scales leave margins of either sign indeterminate
+    _made_up("odd-scales", _by_decade(-1.0, 1.0, -1.0, 1.0, -1.0, 1.0),
+             _by_decade(np.inf, np.inf, np.nan, np.nan, 1.0)),
+    # a least margin of -0.0, beside +0.0, on a scale of 0: neither clears it
+    _made_up("negative-zero", _by_decade(-0.0, 0.0, 1.0), _by_decade(0.0, 0.0, 1.0)),
+    # two sides on one scale array, the lower one failing in some blocks
+    _made_up("shared-scale", _by_decade(-2 * NOISE, 1.0, 1.0, NOISE / 2, 1.0), _by_decade(1.0, 1.0, 1.0, 0.1, 1.0),
+             _by_decade(1.0, NOISE / 2, -2 * NOISE, 1.0, -NOISE / 2, 1.0)),
+    # two sides with scales of their own: 0.1 decides the upper side's ±NOISE/2
+    _made_up("own-scales", _by_decade(-NOISE / 2, 1.0), None,
+             _by_decade(1.0, NOISE / 2, -NOISE / 2, 1.0), lambda a, b: np.full_like(a, 0.1)),
 )
 
 
@@ -340,6 +376,13 @@ def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
     assert by_id["false-ag"].failures == count
     assert by_id["noise-mm"].indeterminate == count
     assert math.isnan(by_id["all-nan"].min_lower_margin)
+    if count > 1:  # each made-up record reaches the case it is named for
+        inside = by_id["inside-noise"]
+        assert inside.min_lower_margin < 0.0 and inside.failures == 0 < inside.indeterminate
+        hidden = by_id["hidden-failure"]
+        assert -NOISE * 1e3 < hidden.min_lower_margin < 0.0 < hidden.failures < count - hidden.indeterminate
+        assert 0 < by_id["odd-scales"].failures < count - by_id["odd-scales"].indeterminate
+        assert math.copysign(1.0, by_id["negative-zero"].min_lower_margin) == -1.0
 
 
 def test_the_memory_of_a_sample_does_not_grow_with_its_count(traced_peak):

@@ -37,35 +37,6 @@ PREFIXES = {
 }
 
 
-# The forms the constants are printed in by the paper and its sources; each
-# derived text must have the same value
-PAPER_FORMS = {
-    "thm3.1.lower": "1/(2*ln(1+sqrt(2))) - 1",
-    "thm3.1.upper": "-5/12",
-    "cor3.1.lower": "5/12",
-    "cor3.1.upper": "1 - 1/(2*ln(1+sqrt(2)))",
-    "cor3.2.lower": "1/12",
-    "cor3.2.upper": "2/3 - 1/(2*ln(1+sqrt(2)))",
-    "thm3.2.lower": "1/(2*ln(1+sqrt(2)))",
-    "thm3.3.lower": "1/2",
-    "thm3.3.upper": "(3 - 4*ln(1+sqrt(2)))/(3*(1 - sqrt(2)*ln(1+sqrt(2))))",
-    "thm3.4.lower": "(sqrt(2)*ln(1+sqrt(2)) - 1)/(2*ln(1+sqrt(2)) - 1)",
-    "thm3.4.upper": "2/5",
-    "neuman-QA.lower": "(1 - ln(1+sqrt(2)))/((sqrt(2) - 1)*ln(1+sqrt(2)))",
-    "neuman-QA.upper": "1/3",
-    "neuman-CA.lower": "(1 - ln(1+sqrt(2)))/ln(1+sqrt(2))",
-    "neuman-CA.upper": "1/6",
-    "zhao-HQ.lower": "2/9",
-    "zhao-HQ.upper": "1 - 1/(sqrt(2)*ln(1+sqrt(2)))",
-    "zhao-GQ.lower": "1/3",
-    "zhao-GQ.upper": "1 - 1/(sqrt(2)*ln(1+sqrt(2)))",
-    "zhao-HC.lower": "1 - 1/(2*ln(1+sqrt(2)))",
-    "zhao-HC.upper": "5/12",
-    "identric-IQ.lower": "1/2",
-    "identric-IQ.upper": "e*(sqrt(2)*ln(1+sqrt(2)) - 1)/((sqrt(2)*e - 2)*ln(1+sqrt(2)))",
-}
-
-
 def test_table_is_complete():
     names = [c.name for c in sharp_constants()]
     assert len(names) == len(set(names)) == len(PREFIXES)
@@ -99,11 +70,13 @@ def test_expression_text_is_exact_arithmetic_notation():
 
 
 def test_derived_texts_have_the_values_of_the_paper_s_forms():
+    # hp_oracles evaluates each constant from an mpmath form of its own
     derived = {c.name: c.exact_expr for c in sharp_constants()}
-    assert set(derived) == {*PAPER_FORMS, "lp0-l2.lower"}
+    want = hp_oracles.constants()
+    assert set(derived) == set(want)
     with mp.workdps(50):
-        for name, text in PAPER_FORMS.items():
-            assert abs(expr_value(derived[name]) - expr_value(text)) < mp.mpf("1e-45"), name
+        for name, value in want.items():
+            assert abs(expr_value(derived[name]) - value) < mp.mpf("1e-45"), name
 
 
 def test_every_constant_has_context_and_text():
