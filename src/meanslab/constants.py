@@ -2,10 +2,10 @@
 
 Every best-possible weight or bound in the inequality catalog is the limit
 of its record's quotient at a = b or at a/b → ∞, and :mod:`meanslab.records`
-derives its exact text from the record's spec and each mean's two ends.
-This module holds the constants' names, contexts and order, p0's
-definition, and :func:`expr_value`, which parses a text and computes the
-high-precision value from it.
+derives its name, the claim it is sharp in, its exact text and its place in
+the listing from the record's spec and each mean's two ends.  This module
+holds :class:`SharpConstant`, p0's definition, and :func:`expr_value`,
+which parses a text and computes the high-precision value from it.
 
 Expression grammar (a subset of Python expression syntax): integer
 literals, unary minus, ``+ - * /``, parentheses, the one-argument calls
@@ -100,7 +100,8 @@ def p0_residual(p: float) -> float:
 
 @dataclass(frozen=True)
 class SharpConstant:
-    """One best-possible constant: exact expression text and value.
+    """One best-possible constant: the claim it is sharp in (``context``),
+    its exact expression text and its value.
 
     ``value`` carries 40 significant digits.  ``definition`` is set only
     for constants that are roots rather than closed forms.
@@ -117,40 +118,13 @@ class SharpConstant:
         return float(self.value)
 
 
-# The sharp constants, in the order they are listed, each with the claim it
-# is sharp in.  Each one's text is derived from its record's spec.
-_TABLE = {
-    "thm3.1.lower": "sharp lower bound of (M - C)/CH",
-    "thm3.1.upper": "sharp upper bound of (M - C)/CH",
-    "cor3.1.lower": "sharp coefficient in alpha*CH < C - M",
-    "cor3.1.upper": "sharp coefficient in C - M < beta*CH",
-    "cor3.2.lower": "sharp coefficient in alpha*CH < Cbar - M",
-    "cor3.2.upper": "sharp coefficient in Cbar - M < beta*CH",
-    "thm3.2.lower": "sharp one-sided bound in lambda*CH < M",
-    "thm3.3.lower": "sharp weight in alpha*Q + (1-alpha)*M < Cbar",
-    "thm3.3.upper": "sharp weight in Cbar < beta*Q + (1-beta)*M",
-    "thm3.4.lower": "sharp weight in alpha*C + (1-alpha)*M < Q",
-    "thm3.4.upper": "sharp weight in Q < beta*C + (1-beta)*M",
-    "neuman-QA.lower": "sharp weight in alpha*Q + (1-alpha)*A < M",
-    "neuman-QA.upper": "sharp weight in M < beta*Q + (1-beta)*A",
-    "neuman-CA.lower": "sharp weight in lambda*C + (1-lambda)*A < M",
-    "neuman-CA.upper": "sharp weight in M < mu*C + (1-mu)*A",
-    "zhao-HQ.lower": "sharp weight in alpha*H + (1-alpha)*Q < M",
-    "zhao-HQ.upper": "sharp weight in M < beta*H + (1-beta)*Q",
-    "zhao-GQ.lower": "sharp weight in alpha*G + (1-alpha)*Q < M",
-    "zhao-GQ.upper": "sharp weight in M < beta*G + (1-beta)*Q",
-    "zhao-HC.lower": "sharp weight in alpha*H + (1-alpha)*C < M",
-    "zhao-HC.upper": "sharp weight in M < beta*H + (1-beta)*C",
-    "identric-IQ.lower": "sharp weight in alpha*I + (1-alpha)*Q < M",
-    "identric-IQ.upper": "sharp weight in M < beta*I + (1-beta)*Q",
-    "lp0-l2.lower": "largest exponent p with L_p below the asinh mean everywhere",
-}
 _P0_DEFINITION = "unique root of (p+1)^(1/p) = 2*ln(1+sqrt(2)) on [1.5, 2.5]"
 
 
-def _sharp_constant(name: str, text: str) -> SharpConstant:
-    """The constant ``name`` of a derived text, with its context and its value
-    to 40 digits; ParameterError if the text has no finite real value."""
+def _sharp_constant(name: str, context: str, text: str) -> SharpConstant:
+    """The constant ``name``, sharp in the claim ``context``, of a derived
+    text, with its value to 40 digits and, for p0, its definition;
+    ParameterError if the text has no finite real value."""
     with mp.workdps(_DPS):
         value = expr_value(text)
-    return SharpConstant(name, _TABLE.get(name, ""), text, value, _P0_DEFINITION if text == "p0" else None)
+    return SharpConstant(name, context, text, value, _P0_DEFINITION if text == "p0" else None)

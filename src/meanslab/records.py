@@ -3,15 +3,17 @@
 Every record is declared in ``SPECS`` as one of five forms over the mean
 symbols of :data:`meanslab.means.MEANS`, and that entry is its whole claim:
 a sharp side names the end where its constant is attained, and the
-constant's text and its probe's direction follow from the spec and each
-mean's two ends.  :func:`build_record` binds the kernels and the vectorised
-margin function: positive margins mean the inequality holds on that pair,
-and the attached :class:`~meanslab.constants.SharpConstant` objects, listed
-by :func:`sharp_constants`, are the claimed best-possible weights or bounds.
+constant's text, the claim it is sharp in and its probe's direction follow
+from the spec and each mean's two ends.  :func:`build_record` binds the
+kernels and the vectorised margin function: positive margins mean the
+inequality holds on that pair, and the attached
+:class:`~meanslab.constants.SharpConstant` objects, listed by
+:func:`sharp_constants`, are the claimed best-possible weights or bounds.
 Thirteen records are the paper's linear relations between differences of
 means, ``alpha*(X - W) < Z - Y < beta*(X - W)`` (``X - W`` may be ``CH``):
 their margins are ``R - alpha`` and ``beta - R`` times the sign of
-``X - W``, for ``R = (Z - Y)/(X - W)``, in the constant's own units.  Three things can be done with records:
+``X - W``, for ``R = (Z - Y)/(X - W)``, in the constant's own units.
+Three things can be done with records:
 
 * :func:`verify` — evaluate one record's margins on one pair; records
   verified in turn on the same pair share its mean values;
@@ -42,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .constants import _TABLE, SharpConstant, _sharp_constant
+from .constants import SharpConstant, _sharp_constant
 from .errors import DegeneratePairError, NotApplicableError, ParameterError
 from .means import (
     _PY_REALS, MEANS, Mean, PositivePair, _any, _generalized_logarithmic, _order, _Pair, _ret, _where, ch_difference,
@@ -398,11 +400,27 @@ def _side(spec: RecordSpec, side: str):
                 text = str(_near(num) / sign)
             else:  # the sides' φ(1), term by term, a two-term side in parentheses
                 text = "/".join(f"({s[0].far} - {s[1].far})" if len(s) == 2 else s[0].far for s in (num, den))
-        const = _sharp_constant(name, text)
+        const = _sharp_constant(name, _context(spec, side), text)
         tighten = float(sign / abs(sign)) * (1.0 if side == "lower" else -1.0)  # 0 has no sign: raises
     except (ParameterError, ZeroDivisionError) as exc:
         raise ParameterError(f"{name}: the first-order ends leave its {endpoint} constant undecided: {exc}") from None
     return const, const.float_value, ProbeSpec(side, tighten, endpoint)
+
+
+def _context(spec: RecordSpec, side: str) -> str:
+    """The claim a side's constant is sharp in, with ``alpha`` below and
+    ``beta`` above: an exponent of L_p for the window, a weight for a
+    quotient with Y = W, and a coefficient for any other quotient."""
+    c = "alpha" if side == "lower" else "beta"
+    if spec.form == "exponent-window":
+        kind, bound, mean = "exponent", "L_p" if side == "lower" else "L_q", spec.means
+    else:
+        (z, *y), (x, *w) = (s.strip().split("-") for s in spec.means.split("/"))
+        if y and y == w:
+            kind, bound, mean = "weight", f"{c}*{x} + (1-{c})*{w[0]}", z
+        else:
+            kind, bound, mean = "coefficient", f"{c}*" + (f"({x} - {w[0]})" if w else x), " - ".join([z, *y])
+    return f"sharp {kind} in " + (f"{bound} < {mean}" if side == "lower" else f"{mean} < {bound}")
 
 
 def build_record(spec: RecordSpec) -> InequalityRecord:
@@ -441,9 +459,9 @@ def catalog() -> tuple[InequalityRecord, ...]:
 
 @lru_cache(maxsize=1)
 def sharp_constants() -> tuple[SharpConstant, ...]:
-    """All sharp constants of the catalog, in the order they are listed."""
-    attached = {c.name: c for rec in catalog() for c in (rec.lower, rec.upper) if c is not None}
-    return tuple(attached[name] for name in _TABLE)
+    """All sharp constants of the catalog, record by record in catalog order,
+    a lower one before an upper one."""
+    return tuple(c for rec in catalog() for c in (rec.lower, rec.upper) if c is not None)
 
 
 def constant(name: str) -> SharpConstant:

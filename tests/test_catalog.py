@@ -12,6 +12,7 @@ import threading
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -48,6 +49,7 @@ from meanslab.records import (
     VerificationReport,
     _judge,
     _entry,
+    _context,
     _Means,
     _minimum,
     _pair_means,
@@ -824,6 +826,43 @@ def test_ends_that_leave_a_constant_undecided_are_refused(form, means, endpoint)
     spec = RecordSpec("made-up", form, means, endpoint)
     with pytest.raises(ParameterError, match=f"made-up.lower: .* {endpoint} constant"):
         _side(spec, "lower")
+
+
+def test_a_new_record_needs_one_spec_line():
+    # T-A / Q-A has no entry anywhere but its spec: the texts, the claims and
+    # the probes of its constants all follow from it
+    spec = RecordSpec("seiffert-TA", "difference-ratio", "T-A / Q-A", "far", "near")
+    rec = build_record(spec)
+    assert rec.lower.exact_expr == "(4/pi - 1)/(sqrt(2) - 1)"
+    assert rec.upper.exact_expr == "2/3"
+    with mp.workdps(hp_oracles.DPS):
+        want = _oracle_quotient(spec, mp.mpf(10) ** 60, mp.mpf(1))
+        assert mp.nstr(want, 20).startswith("0.6596586146762797")
+        assert abs(expr_value(rec.lower.exact_expr) - want) < mp.mpf("1e-45")
+    assert rec.lower.context == "sharp weight in alpha*Q + (1-alpha)*A < T"
+    assert rec.upper.context == "sharp weight in T < beta*Q + (1-beta)*A"
+    assert [(probe.tighten, probe.endpoint) for probe in rec.probes] == [(1.0, "far"), (-1.0, "near")]
+    assert [result.found for result in sharpness_probe(rec, 1e-6)] == [True, True]
+    assert len(sharp_constants()) == 24
+
+
+@pytest.mark.parametrize("form,means,side,context", [
+    ("difference-ratio", "M-A / T-Cbar", "lower", "sharp coefficient in alpha*(T - Cbar) < M - A"),
+    ("difference-ratio", "M / CH", "upper", "sharp coefficient in M < beta*CH"),
+    ("difference-ratio", "Q-A / C", "upper", "sharp coefficient in Q - A < beta*C"),
+    ("exponent-window", "M", "upper", "sharp exponent in M < L_q"),
+])
+def test_contexts_of_shapes_outside_the_catalog(form, means, side, context):
+    assert _context(RecordSpec("made-up", form, means), side) == context
+
+
+def test_the_catalog_names_its_constants_only_in_its_specs():
+    # each constant's name is derived from its record's id: no module of the
+    # package types one, so a new record is one SPECS line
+    names = [f"{spec.id}.{side}" for spec in SPECS for side in ("lower", "upper")]
+    for path in sorted(Path(meanslab.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert [name for name in names if name in text] == [], path.name
 
 
 def test_the_critical_exponent_is_the_far_end_root_of_its_record():

@@ -6,7 +6,8 @@ import mpmath as mp
 import pytest
 
 import hp_oracles
-from meanslab import ParameterError, constant, expr_value, sharp_constants, solve_p0
+from meanslab import SPECS, ParameterError, constant, expr_value, sharp_constants, solve_p0
+from meanslab.constants import _p0_gap
 
 # 4-digit decimal prefixes as printed in the source results
 PREFIXES = {
@@ -79,6 +80,21 @@ def test_derived_texts_have_the_values_of_the_paper_s_forms():
             assert abs(expr_value(derived[name]) - value) < mp.mpf("1e-45"), name
 
 
+def test_constants_are_listed_record_by_record_lower_before_upper():
+    want = [f"{spec.id}.{side}" for spec in SPECS for side in ("lower", "upper") if getattr(spec, side) in ("near", "far")]
+    assert [c.name for c in sharp_constants()] == want
+
+
+def test_contexts_are_derived_from_the_spec():
+    # one of each shape in the catalog: a weight, a coefficient of CH on a
+    # difference, a lone mean over CH, and the exponent window
+    contexts = {c.name: c.context for c in sharp_constants()}
+    assert contexts["zhao-HQ.lower"] == "sharp weight in alpha*H + (1-alpha)*Q < M"
+    assert contexts["cor3.1.upper"] == "sharp coefficient in C - M < beta*CH"
+    assert contexts["thm3.2.lower"] == "sharp coefficient in alpha*CH < M"
+    assert contexts["lp0-l2.lower"] == "sharp exponent in L_p < M"
+
+
 def test_every_constant_has_context_and_text():
     for c in sharp_constants():
         assert c.context
@@ -114,6 +130,17 @@ def test_p0_constant_definition_and_value():
     assert c.float_value == float(hp_oracles.p_zero())
     # one root: the solver returns the catalog's constant, not a nearby double
     assert solve_p0() == c.float_value
+
+
+def test_p0_is_the_unique_root_its_definition_names():
+    # the printed definition: the gap is positive at 1.5, negative at 2.5
+    # and strictly decreasing between, so it has one root there
+    assert constant("lp0-l2.lower").definition == "unique root of (p+1)^(1/p) = 2*ln(1+sqrt(2)) on [1.5, 2.5]"
+    with mp.workdps(50):
+        assert mp.nstr(_p0_gap(mp.mpf("1.5")), 3) == "0.0793"
+        assert mp.nstr(_p0_gap(mp.mpf("2.5")), 4) == "-0.1122"
+        gaps = [_p0_gap(p) for p in mp.linspace(mp.mpf("1.5"), mp.mpf("2.5"), 201)]
+        assert all(left > right for left, right in zip(gaps, gaps[1:]))
 
 
 def test_weight_pairs_bracket_an_interval():
