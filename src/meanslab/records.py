@@ -4,9 +4,11 @@ Every record is declared in ``SPECS`` as one of five forms over the mean
 symbols of :data:`meanslab.means.MEANS`, and that entry is its whole claim:
 a sharp side names the end where its constant is attained, and the
 constant's text, the claim it is sharp in and its probe's direction follow
-from the spec and each mean's two ends.  :func:`build_record` binds the
-kernels and the vectorised margin function: positive margins mean the
-inequality holds on that pair, and the attached
+from the spec and each mean's two ends.  :func:`build_record` reads the
+spec once, refusing one outside the grammar of :class:`RecordSpec` (symbols
+of a chain, a product or a window, or a quotient ``"Z-Y / X-W"``), and
+binds the kernels and the vectorised margin function: positive margins mean
+the inequality holds on that pair, and the attached
 :class:`~meanslab.constants.SharpConstant` objects, listed by
 :func:`sharp_constants`, are the claimed best-possible weights or bounds.
 Thirteen records are the paper's linear relations between differences of
@@ -36,6 +38,8 @@ rather than as a pass or a failure, from 2^-1074 to 1.8e308 alike.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,8 +164,8 @@ def _domain_note(domain: tuple[float, float] | None) -> str | None:
 # --------------------------------------------------------------------------
 # forms
 #
-# A form takes the record's kernels, as its ``kernels`` entry made them from
-# the spec once, a lookup of the mean values on a pair (or arrays of pairs)
+# A form takes the record's kernels, as build_record made them from the
+# spec's parse once, a lookup of the mean values on a pair (or arrays of pairs)
 # and the two bounds in force (None where the record has no bound on that
 # side), and returns the signed margins.  On one pair of floats the forms do
 # Python's float arithmetic and call no numpy; they read its comparisons as
@@ -211,17 +215,12 @@ def _noise_sum(terms):
     return total
 
 
-def _quotient_sides(text: str) -> list[tuple[Mean, ...]]:
-    # "Z-Y / X-W" as the entries of its two sides; Y or W may be left out
-    return [tuple(_entry(symbol) for symbol in side.strip().split("-")) for side in text.split("/")]
-
-
-def _quotient_kernels(text: str) -> tuple:
-    # "Z-Y / X-W" as the kernels (Z, Y, X, W), with None for a Y or W left
-    # out, and the distinct means among them, the terms of R's noise sum.  R
-    # carries cancellation noise of order (Z + Y + X + W)/|X - W| ulp; CH is
+def _quotient_kernels(sides) -> tuple:
+    # ((Z, Y), (X, W)) as the kernels (Z, Y, X, W), with None for a Y or W
+    # left out, and the distinct means among them, the terms of R's noise sum.
+    # R carries cancellation noise of order (Z + Y + X + W)/|X - W| ulp; CH is
     # computed without cancellation, so it adds none.
-    kernels = tuple(m.kernel if m else None for side in _quotient_sides(text) for m in (*side, None)[:2])
+    kernels = tuple(s and _entry(s).kernel for side in sides for s in side)
     return kernels, tuple(k for k in dict.fromkeys(kernels) if k not in (None, ch_difference))
 
 
@@ -302,23 +301,19 @@ def _window(kernels, means, p, q):
     return MarginSample(m - below, above - m, _noise_sum((m, below)), _noise_sum((m, above)))
 
 
-def _kernels(text: str) -> tuple:
-    # the kernels of space-separated symbols, in margin order
-    return tuple(_entry(symbol).kernel for symbol in text.split())
-
-
 class _Form(NamedTuple):
     margins: Callable  # (kernels, means, lower bound, upper bound) -> MarginSample
     degree: int | None = 1
     domain: tuple[float, float] | None = None  # the open interval both arguments lie in
-    kernels: Callable = _kernels  # the spec's means text -> the kernels its margins read
+    shape: str = "{0}(?: {0})+"  # the means text as a regular expression, {0} a symbol of MEANS
+    bounds: int = 0  # the sides, lower first, that need a bound; a form that needs none takes none
 
 
 _FORMS = {
-    "difference-ratio": _Form(_quotient, degree=0, kernels=_quotient_kernels),
+    "difference-ratio": _Form(_quotient, degree=0, shape="({0})(?:-({0}))? / (CH$|{0})(?:-({0}))?", bounds=1),
     "chain": _Form(_chain),
-    "product-bound": _Form(_product, degree=2),
-    "exponent-window": _Form(_window),
+    "product-bound": _Form(_product, degree=2, shape="{0} {0} {0}"),
+    "exponent-window": _Form(_window, shape="{0}", bounds=2),
     "ky-fan-chain": _Form(_ky_fan, degree=None, domain=(0.0, 0.5)),
 }
 
@@ -330,13 +325,15 @@ _FORMS = {
 class RecordSpec(NamedTuple):
     """One catalog record, declared over the symbols of ``means.MEANS``.
 
-    ``means`` lists the symbols, space-separated, in the order the form
-    takes them; a ``difference-ratio`` spec writes its quotient instead:
-    ``"Z-Y / X-W"``, ``"Z-Y / CH"`` or ``"Z / CH"``.  Each side is ``None``
-    when it carries no constant, a plain float for a fixed bound not claimed
-    sharp, or the endpoint where its sharp constant ``{id}.lower`` or
-    ``{id}.upper`` is attained: ``"near"`` (a = b) or ``"far"`` (a/b → ∞),
-    from which ``_side`` derives the constant and its probe.
+    ``means`` lists the symbols one space apart, in the order the form takes
+    them: two or more in a chain, three for ``product-bound``, one for
+    ``exponent-window``.  A ``difference-ratio`` spec writes its quotient,
+    ``"Z-Y / X-W"``, with Y and W optional or ``CH`` alone below the bar; it
+    needs a lower side, the window both, and no other form takes one.  A side
+    is ``None`` with no constant, a finite int or float for a fixed bound, or
+    the end where its sharp constant ``{id}.lower`` or ``{id}.upper`` is
+    attained, ``"near"`` (a = b) or ``"far"`` (a/b → ∞), which the other side
+    does not share.  :func:`build_record` refuses any other spec.
     """
 
     id: str
@@ -367,6 +364,21 @@ SPECS = (
 )
 
 
+def _parse(spec: RecordSpec) -> tuple:
+    """The symbols of a spec in the order its form reads them, a quotient's as
+    ((Z, Y), (X, W)) with None for a Y or W left out.  ParameterError names
+    the record of a spec outside the grammar of :class:`RecordSpec`."""
+    form, ends = _FORMS.get(spec.form), (spec.lower, spec.upper)
+    symbol = "(?:" + "|".join(map(re.escape, MEANS)) + ")"  # MEANS as it is when the record is built
+    shape = form and type(spec.means) is str and re.fullmatch(form.shape.format(symbol), spec.means)
+    fixed = [end for end in ends if end not in (None, "near", "far")]  # each a finite int or float, not a bool
+    if (not shape or None in ends[: form.bounds] or not form.bounds and ends != (None, None)
+            or spec.lower == spec.upper in ("near", "far")
+            or any(type(end) not in (int, float) or not abs(end) <= sys.float_info.max for end in fixed)):
+        raise ParameterError(f"{spec.id}: {spec!r} is outside the spec grammar")
+    return (shape.groups()[:2], shape.groups()[2:]) if spec.form == "difference-ratio" else tuple(spec.means.split())
+
+
 def _entry(symbol: str) -> Mean:
     # a mean of MEANS, or CH = 2A·t² exactly: a t² term of 2, no t⁰ term, and φ(1) = 2
     return MEANS[symbol] if symbol != "CH" else Mean("CH", (), ch_difference, Fraction(2), "2")
@@ -379,9 +391,9 @@ def _near(side: tuple[Mean, ...]) -> Fraction:
     return side[0].near - (side[1].near if len(side) == 2 else 0)
 
 
-def _side(spec: RecordSpec, side: str):
-    """(constant, bound, probe) of one side of a spec.  A sharp constant is
-    the limit of R = (Z - Y)/(X - W) at its endpoint: the ratio of the sides'
+def _side(spec: RecordSpec, symbols: tuple, side: str):
+    """(constant, bound, probe) of one side of a parsed spec.  A sharp constant
+    is the limit of R = (Z - Y)/(X - W) at its endpoint: the ratio of the sides'
     t² terms at a = b, or of their φ(1) at a/b → ∞; a lower bound tightens by
     the sign of X - W's t² term, an upper one against it.  ParameterError
     names the record where these first-order ends leave either undecided."""
@@ -390,45 +402,46 @@ def _side(spec: RecordSpec, side: str):
         return None, None if endpoint is None else float(endpoint), None
     try:
         if spec.form == "exponent-window":  # p0, where L_p's φ(1) meets M's; it tightens up
-            if (spec.means, endpoint) != ("M", "far"):
+            if (symbols, endpoint) != (("M",), "far"):
                 raise ParameterError("only the far order of L_p < M is derived")
             text, sign = "p0", Fraction(1)
         else:
-            num, den = _quotient_sides(spec.means)
+            num, den = ([_entry(s) for s in part if s] for part in symbols)
             sign = _near(den)
             if endpoint == "near":
                 text = str(_near(num) / sign)
             else:  # the sides' φ(1), term by term, a two-term side in parentheses
                 text = "/".join(f"({s[0].far} - {s[1].far})" if len(s) == 2 else s[0].far for s in (num, den))
-        const = _sharp_constant(name, _context(spec, side), text)
+        const = _sharp_constant(name, _context(spec, symbols, side), text)
         tighten = float(sign / abs(sign)) * (1.0 if side == "lower" else -1.0)  # 0 has no sign: raises
     except (ParameterError, ZeroDivisionError) as exc:
         raise ParameterError(f"{name}: the first-order ends leave its {endpoint} constant undecided: {exc}") from None
     return const, const.float_value, ProbeSpec(side, tighten, endpoint)
 
 
-def _context(spec: RecordSpec, side: str) -> str:
+def _context(spec: RecordSpec, symbols: tuple, side: str) -> str:
     """The claim a side's constant is sharp in, with ``alpha`` below and
     ``beta`` above: an exponent of L_p for the window, a weight for a
     quotient with Y = W, and a coefficient for any other quotient."""
     c = "alpha" if side == "lower" else "beta"
     if spec.form == "exponent-window":
-        kind, bound, mean = "exponent", "L_p" if side == "lower" else "L_q", spec.means
+        kind, bound, mean = "exponent", "L_p" if side == "lower" else "L_q", symbols[0]
     else:
-        (z, *y), (x, *w) = (s.strip().split("-") for s in spec.means.split("/"))
+        (z, y), (x, w) = symbols
         if y and y == w:
-            kind, bound, mean = "weight", f"{c}*{x} + (1-{c})*{w[0]}", z
+            kind, bound, mean = "weight", f"{c}*{x} + (1-{c})*{w}", z
         else:
-            kind, bound, mean = "coefficient", f"{c}*" + (f"({x} - {w[0]})" if w else x), " - ".join([z, *y])
+            kind, bound, mean = "coefficient", f"{c}*" + (f"({x} - {w})" if w else x), f"{z} - {y}" if y else z
     return f"sharp {kind} in " + (f"{bound} < {mean}" if side == "lower" else f"{mean} < {bound}")
 
 
 def build_record(spec: RecordSpec) -> InequalityRecord:
-    """Bind a spec's kernels, constants and probes into a record."""
+    """Bind a spec's kernels, constants and probes into a record; ParameterError refuses a malformed spec."""
+    symbols = _parse(spec)
     form = _FORMS[spec.form]
-    kernels = form.kernels(spec.means)
-    lo_const, lo_default, lo_probe = _side(spec, "lower")
-    up_const, up_default, up_probe = _side(spec, "upper")
+    kernels = _quotient_kernels(symbols) if spec.form == "difference-ratio" else tuple(MEANS[s].kernel for s in symbols)
+    lo_const, lo_default, lo_probe = _side(spec, symbols, "lower")
+    up_const, up_default, up_probe = _side(spec, symbols, "upper")
 
     def means_fn(means, lo_c, up_c):
         lo = lo_default if lo_c is None else lo_c

@@ -53,6 +53,7 @@ from meanslab.records import (
     _Means,
     _minimum,
     _pair_means,
+    _parse,
     _side,
     _sign,
     build_record,
@@ -110,6 +111,11 @@ def test_catalog_contents():
     assert len(recs) == 17
     with pytest.raises(ParameterError):
         record("thm9.9")
+
+
+def test_record_ids_are_unique():
+    # record() returns the first match, so a second spec of one id would never be looked up
+    assert [rid for rid, n in Counter(spec.id for spec in SPECS).items() if n > 1] == []
 
 
 def test_attached_constants_are_the_sharp_constants_each_probed_once():
@@ -823,9 +829,12 @@ def test_sharp_quotient_constants_are_the_limits_of_their_records():
     ("exponent-window", "Q", "far"),
 ])
 def test_ends_that_leave_a_constant_undecided_are_refused(form, means, endpoint):
-    spec = RecordSpec("made-up", form, means, endpoint)
+    spec = RecordSpec("made-up", form, means, endpoint, 2.0)
+    symbols = _parse(spec)  # in the grammar: only the derivation refuses it
     with pytest.raises(ParameterError, match=f"made-up.lower: .* {endpoint} constant"):
-        _side(spec, "lower")
+        _side(spec, symbols, "lower")
+    with pytest.raises(ParameterError, match=f"made-up.lower: .* {endpoint} constant"):
+        build_record(spec)
 
 
 def test_a_new_record_needs_one_spec_line():
@@ -853,7 +862,43 @@ def test_a_new_record_needs_one_spec_line():
     ("exponent-window", "M", "upper", "sharp exponent in M < L_q"),
 ])
 def test_contexts_of_shapes_outside_the_catalog(form, means, side, context):
-    assert _context(RecordSpec("made-up", form, means), side) == context
+    spec = RecordSpec("made-up", form, means, 0.0, 1.0)
+    assert _context(spec, _parse(spec), side) == context
+
+
+# Specs outside the grammar of RecordSpec: each must be refused before it can
+# build a record that is silently wrong or fails at its first margins.
+MALFORMED_SPECS = [
+    RecordSpec("sharp-end-on-a-chain", "chain", "A G", "near"),
+    RecordSpec("fixed-bound-on-a-chain", "chain", "A G", 0.0),
+    RecordSpec("unknown-mean", "difference-ratio", "M-A / Q-X", "far", "near"),
+    RecordSpec("unknown-form", "chian", "A G"),
+    RecordSpec("three-term-side", "difference-ratio", "M-A-G / Q-A", "far", "near"),
+    RecordSpec("three-sides", "difference-ratio", "M-A / Q-A / C", "far", "near"),
+    RecordSpec("no-divisor", "difference-ratio", "M-A", "far"),
+    RecordSpec("ch-above-the-bar", "difference-ratio", "CH-A / Q-A", "far", "near"),
+    RecordSpec("ch-in-a-difference-below", "difference-ratio", "M-A / CH-A", "far"),
+    RecordSpec("ch-in-a-chain", "chain", "A CH"),
+    RecordSpec("capitalised-end", "difference-ratio", "M-A / Q-A", "Near", "near"),
+    RecordSpec("one-end-on-both-sides", "difference-ratio", "M-A / Q-A", "far", "far"),
+    RecordSpec("nan-bound", "difference-ratio", "M-A / T-A", math.nan, 1.0),
+    RecordSpec("infinite-bound", "difference-ratio", "M-A / T-A", 0.0, math.inf),
+    RecordSpec("int-bound-past-the-doubles", "difference-ratio", "M-A / T-A", 0, 10**400),
+    RecordSpec("bool-bound", "difference-ratio", "M-A / T-A", True, 1.0),
+    RecordSpec("quotient-without-a-lower-side", "difference-ratio", "M-A / T-A", None, 1.0),
+    RecordSpec("window-without-an-upper-side", "exponent-window", "M", "far"),
+    RecordSpec("two-means-in-a-product", "product-bound", "A M"),
+    RecordSpec("four-means-in-a-product", "product-bound", "A M T Q"),
+    RecordSpec("two-means-in-a-window", "exponent-window", "M Q", 1.0, 2.0),
+    RecordSpec("one-mean-chain", "chain", "A"),
+    RecordSpec("one-mean-ky-fan-chain", "ky-fan-chain", "A"),
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS, ids=lambda spec: spec.id)
+def test_a_spec_outside_the_grammar_is_refused_by_its_id(spec):
+    with pytest.raises(ParameterError, match=f"^{spec.id}: "):
+        build_record(spec)
 
 
 def test_the_catalog_names_its_constants_only_in_its_specs():
