@@ -111,9 +111,8 @@ def format_float(x: float) -> str:
 # benchmark, summed over its three bands of 1e6 pairs (best of three, four
 # rounds), took 773-845 ms at 2^12, 674-716 ms at 2^13, 597-724 ms at 2^14,
 # 577-806 ms at 2^15, 601-823 ms at 2^16 and 1,313-1,531 ms on whole arrays.
-# verify-all, which walks its samples in these blocks, took 0.91 s at 1e6
-# pairs at 2^14, 0.96 s at 2^13, 1.04 s at 2^15, 1.27 s at 2^12 and 1.25 s at
-# 2^16 (median of three rounds of three passes).
+# verify-all does not use these blocks: it walks its samples in
+# ``records._FOLD_BLOCK`` blocks, whose table is beside it.
 _BLOCK = 1 << 14
 
 

@@ -44,6 +44,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -326,10 +327,11 @@ class RecordSpec(NamedTuple):
     """One catalog record, declared over the symbols of ``means.MEANS``.
 
     ``means`` lists the symbols one space apart, in the order the form takes
-    them: two or more in a chain, three for ``product-bound``, one for
-    ``exponent-window``.  A ``difference-ratio`` spec writes its quotient,
-    ``"Z-Y / X-W"``, with Y and W optional or ``CH`` alone below the bar; it
-    needs a lower side, the window both, and no other form takes one.  A side
+    them and none twice in a row: two or more in a chain, three for
+    ``product-bound``, one for ``exponent-window``.  A ``difference-ratio``
+    spec writes its quotient, ``"Z-Y / X-W"``, with Y and W optional but
+    never Y = Z or W = X, or ``CH`` alone below the bar; it needs a lower
+    side, the window both, and no other form takes one.  A side
     is ``None`` with no constant, a finite int or float for a fixed bound, or
     the end where its sharp constant ``{id}.lower`` or ``{id}.upper`` is
     attained, ``"near"`` (a = b) or ``"far"`` (a/b → ∞), which the other side
@@ -368,15 +370,17 @@ def _parse(spec: RecordSpec) -> tuple:
     """The symbols of a spec in the order its form reads them, a quotient's as
     ((Z, Y), (X, W)) with None for a Y or W left out.  ParameterError names
     the record of a spec outside the grammar of :class:`RecordSpec`."""
-    form, ends = _FORMS.get(spec.form), (spec.lower, spec.upper)
+    form, ends, quotient = _FORMS.get(spec.form), (spec.lower, spec.upper), spec.form == "difference-ratio"
     symbol = "(?:" + "|".join(map(re.escape, MEANS)) + ")"  # MEANS as it is when the record is built
     shape = form and type(spec.means) is str and re.fullmatch(form.shape.format(symbol), spec.means)
+    symbols = shape and ((shape.groups()[:2], shape.groups()[2:]) if quotient else tuple(spec.means.split()))
     fixed = [end for end in ends if end not in (None, "near", "far")]  # each a finite int or float, not a bool
     if (not shape or None in ends[: form.bounds] or not form.bounds and ends != (None, None)
             or spec.lower == spec.upper in ("near", "far")
-            or any(type(end) not in (int, float) or not abs(end) <= sys.float_info.max for end in fixed)):
+            or any(type(end) not in (int, float) or not abs(end) <= sys.float_info.max for end in fixed)
+            or any(x == y for x, y in (symbols if quotient else pairwise(symbols)))):  # a mean against itself
         raise ParameterError(f"{spec.id}: {spec!r} is outside the spec grammar")
-    return (shape.groups()[:2], shape.groups()[2:]) if spec.form == "difference-ratio" else tuple(spec.means.split())
+    return symbols
 
 
 def _entry(symbol: str) -> Mean:

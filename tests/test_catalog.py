@@ -196,9 +196,8 @@ def test_verify_random_is_deterministic():
     assert c != a
 
 
-# two made-up chains: A < G fails on every pair, and M < M never clears the noise
+# a made-up chain: A < G fails on every pair
 FALSE_CHAIN = build_record(RecordSpec("false-ag", "chain", "A G"))
-NOISE_CHAIN = build_record(RecordSpec("noise-mm", "chain", "M M"))
 
 
 def test_verify_random_single_sample_matches_verify():
@@ -325,6 +324,9 @@ def _made_up(rec_id, margin, scale=None, upper=None, upper_scale=None):
 
 
 NOISE = 100 * np.finfo(np.float64).eps * 16  # the threshold of a margin with noise scale 1
+# margins of 0 on every pair, which no noise threshold clears (the grammar
+# refuses M < M, the chain that would give them)
+NOISE_CHAIN = _made_up("noise-zero", lambda a, b: np.zeros_like(a))
 
 
 def _by_decade(*values):
@@ -337,8 +339,8 @@ def _by_decade(*values):
 
 
 MADE_UP = (
-    # M < M has margins of 0 on every pair, so every block ties and the first
-    # pair must stay the witness
+    # margins of 0 on every pair, so every block ties and the first pair must
+    # stay the witness
     FALSE_CHAIN,
     NOISE_CHAIN,
     # NaN ranks as +inf: NaN below a/b = 1e4, tied decades above it
@@ -382,7 +384,7 @@ def test_fused_reports_equal_the_whole_array_aggregation(count, seed):
         assert repr(rep) == repr(_whole_array_report(rec, count, seed)), rec.id
     by_id = {rep.record_id: rep for rep in fused}
     assert by_id["false-ag"].failures == count
-    assert by_id["noise-mm"].indeterminate == count
+    assert by_id["noise-zero"].indeterminate == count
     assert math.isnan(by_id["all-nan"].min_lower_margin)
     if count > 1:  # each made-up record reaches the case it is named for
         inside = by_id["inside-noise"]
@@ -892,6 +894,14 @@ MALFORMED_SPECS = [
     RecordSpec("two-means-in-a-window", "exponent-window", "M Q", 1.0, 2.0),
     RecordSpec("one-mean-chain", "chain", "A"),
     RecordSpec("one-mean-ky-fan-chain", "ky-fan-chain", "A"),
+    # a mean compared with itself: every margin would be 0 and never judged
+    RecordSpec("divisor-a-mean-minus-itself", "difference-ratio", "M-A / Q-Q", 0.0, 1.0),
+    RecordSpec("dividend-a-mean-minus-itself", "difference-ratio", "M-M / Q-A", 0.0, 1.0),
+    RecordSpec("dividend-a-mean-minus-itself-sharp", "difference-ratio", "M-M / Q-A", "far", "near"),
+    RecordSpec("chain-repeating-its-only-mean", "chain", "A A"),
+    RecordSpec("chain-repeating-a-mean", "chain", "G A A Q"),
+    RecordSpec("product-of-one-mean", "product-bound", "A A A"),
+    RecordSpec("ky-fan-chain-repeating-a-mean", "ky-fan-chain", "A A"),
 ]
 
 

@@ -1,8 +1,11 @@
-"""Exact coefficient data: ratios, differences, signs, float partial sums."""
+"""Exact coefficient data: ratios, differences, signs, float partial sums, imports."""
 
+import ast
 import dataclasses
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,13 +67,19 @@ def test_numerators_over_the_shared_factorial_are_the_coefficients(sid):
         assert s.denominator_coeff(n) == b(n), n
 
 
+def ratio(sid, n):
+    """c_n = a_n/b_n, read from the numerators over the shared (2n+3)!."""
+    s = series(sid)
+    return Fraction(s.numerator(n), s.denominator(n))
+
+
 def test_ratio_values():
-    assert series("H1").ratio_closed(0) == Fraction(1, 12)
-    assert series("H1").ratio_closed(1) == Fraction(1, 80)
-    assert series("H2").ratio_closed(0) == Fraction(1, 2)
-    assert series("H2").ratio_closed(1) == Fraction(37, 12)
-    assert series("H3").ratio_closed(0) == Fraction(2, 5)
-    assert series("H3").ratio_closed(1) == Fraction(4, 39)
+    assert ratio("H1", 0) == Fraction(1, 12)
+    assert ratio("H1", 1) == Fraction(1, 80)
+    assert ratio("H2", 0) == Fraction(1, 2)
+    assert ratio("H2", 1) == Fraction(37, 12)
+    assert ratio("H3", 0) == Fraction(2, 5)
+    assert ratio("H3", 1) == Fraction(4, 39)
 
 
 def test_first_differences():
@@ -81,9 +90,8 @@ def test_first_differences():
 
 @pytest.mark.parametrize("sid", list(SeriesId))
 def test_closed_forms_agree_with_coefficients_up_to_200(sid):
-    # difference_sign_check compares both closed forms with the coefficient
-    # quotients at every n below its depth: ratios to n = 200, differences
-    # to c_201 - c_200
+    # difference_sign_check compares the difference closed form with the
+    # coefficient quotients at every n below its depth, up to c_201 - c_200
     assert difference_sign_check(sid, depth=201).first_failure is None
 
 
@@ -107,16 +115,16 @@ def test_difference_signs_at_depth_2000(sid):
 
 @pytest.mark.parametrize("sid", list(SeriesId))
 def test_tampered_numerator_is_caught_by_the_direct_difference(monkeypatch, sid):
-    # a_1500 off: c_1499 still equals ratio_closed, c_1500 - c_1499 does not
+    # a_1500 off, then b_1500 off: every difference up to c_1499 - c_1498 is
+    # right, c_1500 - c_1499 is not
     good = series(sid)
-
-    def tampered(n):
-        return good.numerator(n) + (n == 1500)
-
-    monkeypatch.setitem(SERIES_REGISTRY, sid, dataclasses.replace(good, numerator=tampered))
-    rep = difference_sign_check(sid, depth=2000)
-    assert not rep.passed
-    assert rep.first_failure == 1499
+    for side in ("numerator", "denominator"):
+        coefficient = getattr(good, side)
+        tampered = dataclasses.replace(good, **{side: lambda n: coefficient(n) + (n == 1500)})
+        monkeypatch.setitem(SERIES_REGISTRY, sid, tampered)
+        rep = difference_sign_check(sid, depth=2000)
+        assert not rep.passed, side
+        assert rep.first_failure == 1499, side
 
 
 def test_denominator_coefficients_positive():
@@ -134,20 +142,6 @@ def test_tampered_closed_form_is_reported_not_raised(monkeypatch):
     rep = difference_sign_check(SeriesId.H1, depth=5)
     assert not rep.passed
     assert rep.first_failure == 0
-
-
-@pytest.mark.parametrize("sid", list(SeriesId))
-def test_tampered_ratio_closed_form_is_reported(monkeypatch, sid):
-    # the differences and their signs stay right; only ratio_closed(3) is off
-    good = series(sid)
-
-    def tampered(n):
-        return good.ratio_closed(n) + (n == 3)
-
-    monkeypatch.setitem(SERIES_REGISTRY, sid, dataclasses.replace(good, ratio_closed=tampered))
-    rep = difference_sign_check(sid, depth=10)
-    assert not rep.passed
-    assert rep.first_failure == 3
 
 
 def test_truncated_eval_limits():
@@ -191,3 +185,19 @@ def test_series_submodule_is_not_shadowed():
 
     assert module.difference_sign_check is difference_sign_check
     assert module.series("h2") is series("H2")
+
+
+def test_the_exact_layer_imports_only_the_standard_library():
+    # series is exact only: no numpy, no mpmath, nothing of meanslab but its errors
+    import meanslab.series as module
+
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(("meanslab." if node.level else "") + (node.module or ""))
+    assert "meanslab.errors" in imported
+    outside = {name for name in imported - {"meanslab.errors"} if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == set()
